@@ -6,8 +6,8 @@ disabled (the default) and enabled, several interleaved repetitions
 each, and records both medians in
 ``benchmarks/results/profile_overhead.txt``.
 
-With the profiler disabled every guarded stage (route-memo resolution,
-cached replay, kernel batches, pool dispatch) reduces to one attribute
+With the profiler disabled every guarded stage (vector-kernel
+resolution, cached replay, pool dispatch) reduces to one attribute
 read plus returning the shared null stage — no histogram lookup, no
 clock read — so the disabled sweep must stay within noise of the
 enabled one.  We assert (a) a disabled sweep records no profile data at

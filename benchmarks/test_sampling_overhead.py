@@ -46,7 +46,6 @@ def _run_sweep_once(observe: bool) -> float:
         n_trials=N_TRIALS,
         seed=42,
         n_objects_list=[N_OBJECTS],
-        kernel="vector",
     )
     elapsed = time.perf_counter() - t0
     if observe:

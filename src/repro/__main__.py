@@ -6,11 +6,9 @@ Usage::
     python -m repro table 4          # Table 4 (APs / delay / GOPS)
     python -m repro fig3             # Figure 3 channel-demand series
     python -m repro fig3 --workers 4 --stats  # parallel sweep + telemetry
-    python -m repro fig3 --engine --workers 4 # batched route-memoized engine
     python -m repro fig3 --trace out.json     # Perfetto-loadable span trace
     python -m repro fig3 --observe out/       # OpenMetrics + dashboard bundle
-    python -m repro fig3 --engine --kernel vector --observe out/  # replayed obs
-    python -m repro fig3 --engine --profile --observe out/  # stage self-timing
+    python -m repro fig3 --profile --observe out/  # engine stage self-timing
     python -m repro trace-report out.json     # critical path / latencies
     python -m repro observe-report out/       # summarise an --observe bundle
     python -m repro profile out/              # summarise the self-profile layer
@@ -80,18 +78,6 @@ def _cmd_table(number: int) -> int:
     return 0
 
 
-def _engine_stderr_summary(command: str) -> None:
-    """One engine-effectiveness line on stderr (stdout stays byte-identical
-    to the legacy path, so cache stats must not land there)."""
-    counters = telemetry.snapshot().get("counters", {})
-    cached = counters.get("engine.trials.cached", 0)
-    live = counters.get("engine.trials.live", 0)
-    print(
-        f"{command}: engine trials cached={cached} live={live}",
-        file=sys.stderr,
-    )
-
-
 def _numpy_version() -> str:
     import numpy
 
@@ -107,30 +93,10 @@ def _cmd_fig3(
     trace: Optional[str] = None,
     observe: Optional[str] = None,
     quiet: bool = False,
-    engine: bool = False,
-    kernel: str = "route",
     profile: bool = False,
 ) -> int:
-    from repro.csd.simulator import figure3_series
+    from repro.engine import run_fig3
 
-    use_engine = engine and not trace
-    if kernel == "vector" and (not engine or trace):
-        # the vector kernel only exists inside the engine's cold path,
-        # and the engine cannot replay traces — so this is a
-        # contradiction in the request, not something to paper over
-        # (observation is fine: cached trials replay their samples)
-        print(
-            "fig3: --kernel vector needs --engine and is incompatible "
-            "with --trace",
-            file=sys.stderr,
-        )
-        return 2
-    if engine and not use_engine:
-        print(
-            "fig3: --engine cannot replay traces; "
-            "running the traced path instead",
-            file=sys.stderr,
-        )
     localities = [1.0, 0.8, 0.6, 0.4, 0.2, 0.0]
     if stats or trace or observe or profile:
         if not quiet:
@@ -152,25 +118,13 @@ def _cmd_fig3(
     if profile:
         telemetry.enable_profiling()
     try:
-        if use_engine:
-            from repro.engine import run_fig3
-
-            raw = run_fig3(
-                localities=localities,
-                n_trials=trials,
-                n_objects_list=n_objects,
-                seed=seed,
-                workers=workers,
-                kernel=kernel,
-            )
-        else:
-            raw = figure3_series(
-                localities=localities,
-                n_trials=trials,
-                n_objects_list=n_objects,
-                seed=seed,
-                workers=workers,
-            )
+        raw = run_fig3(
+            localities=localities,
+            n_trials=trials,
+            n_objects_list=n_objects,
+            seed=seed,
+            workers=workers,
+        )
     finally:
         if trace:
             telemetry.enable_tracing(False)
@@ -209,8 +163,6 @@ def _cmd_fig3(
             f"rollbacks={reg.counter('chained.connect.rollbacks').value}"
         )
         telemetry.TextSink(sys.stdout).emit(reg)
-    if use_engine:
-        _engine_stderr_summary("fig3")
     return 0
 
 
@@ -245,27 +197,12 @@ def _cmd_faults(
     report_path: Optional[str] = None,
     observe: Optional[str] = None,
     quiet: bool = False,
-    engine: bool = False,
-    kernel: str = "route",
     csd_rate: Optional[float] = None,
     profile: bool = False,
 ) -> int:
-    from repro.faults.campaign import report_json, run_campaign
+    from repro.engine import run_faults
+    from repro.faults.campaign import report_json
 
-    use_engine = engine and not trace
-    if kernel == "vector" and (not engine or trace):
-        print(
-            "faults: --kernel vector needs --engine and is incompatible "
-            "with --trace",
-            file=sys.stderr,
-        )
-        return 2
-    if engine and not use_engine:
-        print(
-            "faults: --engine cannot replay traces; "
-            "running the traced path instead",
-            file=sys.stderr,
-        )
     if not quiet:
         # reproducibility banner: the campaign derives every fault draw
         # and every trial seed from exactly these knobs; numpy's version
@@ -285,27 +222,14 @@ def _cmd_faults(
     if profile:
         telemetry.enable_profiling()
     try:
-        if use_engine:
-            from repro.engine import run_faults
-
-            report = run_faults(
-                rates,
-                n_objects_list=n_objects,
-                n_trials=trials,
-                seed=seed,
-                workers=workers,
-                kernel=kernel,
-                csd_rate=csd_rate,
-            )
-        else:
-            report = run_campaign(
-                rates,
-                n_objects_list=n_objects,
-                n_trials=trials,
-                seed=seed,
-                workers=workers,
-                csd_rate=csd_rate,
-            )
+        report = run_faults(
+            rates,
+            n_objects_list=n_objects,
+            n_trials=trials,
+            seed=seed,
+            workers=workers,
+            csd_rate=csd_rate,
+        )
     finally:
         if trace:
             telemetry.enable_tracing(False)
@@ -365,8 +289,6 @@ def _cmd_faults(
             f"p99={rec.percentile(99):g}"
         )
         telemetry.TextSink(sys.stdout).emit(reg)
-    if use_engine:
-        _engine_stderr_summary("faults")
     return 0
 
 
@@ -786,6 +708,37 @@ def _cmd_chip(rows: int, cols: int) -> int:
     return 0
 
 
+def _add_noop_engine_flags(parser: argparse.ArgumentParser) -> None:
+    # accepted for one more release so existing command lines keep
+    # working; every sweep already runs on the engine's vector kernel
+    parser.add_argument(
+        "--engine", action="store_true",
+        help="no-op (every sweep runs on the engine); will be removed",
+    )
+    parser.add_argument(
+        "--kernel", choices=("route", "vector"), default=None,
+        help="no-op (the engine always runs the vector kernel); will be "
+        "removed",
+    )
+
+
+def _sweep_args_problem(args: argparse.Namespace) -> Optional[str]:
+    """What makes a fig3/faults command line unrunnable, if anything."""
+    if args.trials < 1:
+        return f"--trials must be at least 1, got {args.trials}"
+    if min(args.n_objects) < 2:
+        return f"--n-objects must be at least 2, got {min(args.n_objects)}"
+    if args.workers is not None and args.workers < 1:
+        return f"--workers must be at least 1, got {args.workers}"
+    for flag in ("rate", "rates", "csd_rate"):
+        value = getattr(args, flag, None)
+        for rate in value if isinstance(value, list) else [value]:
+            if rate is not None and not 0.0 <= rate <= 1.0:
+                option = "--" + flag.replace("_", "-")
+                return f"{option} must be in [0, 1], got {rate:g}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -835,19 +788,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--quiet", action="store_true",
         help="suppress the reproducibility banner",
     )
-    p_fig3.add_argument(
-        "--engine", action="store_true",
-        help="run trials through the batched, route-memoized sweep "
-        "engine (byte-identical stdout and --observe bundle; cache "
-        "stats go to stderr; ignored under --trace)",
-    )
-    p_fig3.add_argument(
-        "--kernel", choices=("route", "vector"), default="route",
-        help="cold-path backend of the sweep engine: 'route' (interned "
-        "route memo) or 'vector' (numpy span-array kernel, flat "
-        "per-trial cost at mega-N); requires --engine, bit-identical "
-        "stdout either way",
-    )
+    _add_noop_engine_flags(p_fig3)
     p_fig3.add_argument(
         "--profile", action="store_true",
         help="time the engine's own stages (resolve, replay, kernel "
@@ -907,24 +848,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--quiet", action="store_true",
         help="suppress the reproducibility banner",
     )
-    p_faults.add_argument(
-        "--engine", action="store_true",
-        help="run the CSD phase of every trial through the batched, "
-        "route-memoized sweep engine (byte-identical report and "
-        "--observe bundle; cache stats go to stderr; ignored under "
-        "--trace)",
-    )
-    p_faults.add_argument(
-        "--kernel", choices=("route", "vector"), default="route",
-        help="cold-path backend of the sweep engine (see fig3 --kernel); "
-        "requires --engine",
-    )
+    _add_noop_engine_flags(p_faults)
     p_faults.add_argument(
         "--csd-rate", type=float, default=None,
         help="pin the CSD-segment fault rate at this value while --rates "
         "sweeps every other fault kind (0 keeps the datapath fault-free "
-        "so the engine's cached/vector kernels stay engaged); recorded "
-        "in the report as 'csd_rate'",
+        "so the engine serves it from its cache); recorded in the "
+        "report as 'csd_rate'",
     )
     p_faults.add_argument(
         "--profile", action="store_true",
@@ -952,7 +882,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_profile = sub.add_parser(
         "profile",
         help="summarise the self-profiling layer of an --observe bundle "
-        "(profile.* stage timers and route-memo counters)",
+        "(profile.* stage timers)",
     )
     p_profile.add_argument(
         "observe_path",
@@ -1150,12 +1080,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "table":
         return _cmd_table(args.number)
+    if args.command in ("fig3", "faults"):
+        problem = _sweep_args_problem(args)
+        if problem is not None:
+            print(f"{args.command}: {problem}", file=sys.stderr)
+            return 2
+        if args.engine or args.kernel is not None:
+            print(
+                f"{args.command}: --engine and --kernel are no-ops (every "
+                "sweep runs on the engine's vector kernel) and will be "
+                "removed",
+                file=sys.stderr,
+            )
     if args.command == "fig3":
         return _cmd_fig3(
             args.n_objects, args.trials, workers=args.workers,
             stats=args.stats, seed=args.seed, trace=args.trace,
-            observe=args.observe, quiet=args.quiet, engine=args.engine,
-            kernel=args.kernel, profile=args.profile,
+            observe=args.observe, quiet=args.quiet, profile=args.profile,
         )
     if args.command == "faults":
         if args.rates is not None:
@@ -1168,8 +1109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             rates, args.n_objects, args.trials, workers=args.workers,
             stats=args.stats, seed=args.seed, trace=args.trace,
             report_path=args.report, observe=args.observe,
-            quiet=args.quiet, engine=args.engine, kernel=args.kernel,
-            csd_rate=args.csd_rate, profile=args.profile,
+            quiet=args.quiet, csd_rate=args.csd_rate, profile=args.profile,
         )
     if args.command == "trace-report":
         return _cmd_trace_report(args.trace_file)

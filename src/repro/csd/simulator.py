@@ -15,19 +15,18 @@ headline findings to reproduce are
 * "Nobject/2 channels are sufficient for the random datapath",
 * higher locality uses fewer channels.
 
-Figure-3-scale sweeps (hundreds of trials across five array sizes) can
-fan out over a process pool: both :func:`sweep_locality` and
-:func:`figure3_series` take ``workers=``.  Trials are chunked by
-locality point, every trial derives its seed from the sweep seed alone,
-and worker processes ship their telemetry snapshots back with the
-results — so the parallel path is **bit-identical** to the serial one
-and loses no observability.
+This module is the live reference: every trial runs the object-level
+protocol.  :func:`sweep_locality` and :func:`figure3_series` are the
+serial oracle the fast sweep driver (:func:`repro.engine.run_fig3`,
+which the CLI runs, serially or over a process pool) is lockstep-tested
+against.  Every trial derives its seed from the sweep seed and the
+trial index alone, so both produce bit-identical points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +41,18 @@ __all__ = [
     "CSDSimulator",
     "sweep_locality",
     "figure3_series",
+    "FIGURE3_LOCALITIES",
     "FIGURE3_NOBJECTS",
 ]
 
 #: The array sizes plotted in Figure 3.
 FIGURE3_NOBJECTS: Tuple[int, ...] = (16, 32, 64, 128, 256)
+
+#: The default locality sweep, most local (left of the paper's plot)
+#: to fully random (right).
+FIGURE3_LOCALITIES: Tuple[float, ...] = (
+    1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0,
+)
 
 
 @dataclass(frozen=True)
@@ -207,7 +213,7 @@ class CSDSimulator:
         return float(np.mean([r.used_channels for r in results]))
 
 
-# -- sweep engine -----------------------------------------------------------
+# -- reference sweep ------------------------------------------------------
 
 
 def _aggregate_point(
@@ -215,11 +221,10 @@ def _aggregate_point(
 ) -> SimulationResult:
     """Fold one point's trial results into the averaged point.
 
-    Shared verbatim by the serial sweep, the per-point pool fan-out, and
-    the batched engine path (:mod:`repro.engine.sweep`): ``np.mean`` over
-    the trials in trial order is the whole formula, so any path feeding
-    the same trial results in the same order produces bit-identical
-    floats.
+    Shared verbatim by the reference sweep and the engine sweep
+    (:mod:`repro.engine.sweep`): ``np.mean`` over the trials in trial
+    order is the whole formula, so any path feeding the same trial
+    results in the same order produces bit-identical floats.
     """
     return SimulationResult(
         n_objects=n_objects,
@@ -239,8 +244,8 @@ def _aggregate_point(
 def record_point_gauges(point: SimulationResult) -> None:
     """Set one Figure-3 point's observation gauges.
 
-    Shared by the legacy sweep and the engine paths
-    (:mod:`repro.engine.sweep`), so every path leaves the same
+    Shared by the reference sweep and the engine sweep
+    (:mod:`repro.engine.sweep`), so both leave the same
     ``fig3.used_channels`` / ``fig3.blocked`` gauge state (one update
     per point) behind."""
     label = point_label(n=point.n_objects, loc=point.locality_knob)
@@ -251,10 +256,9 @@ def record_point_gauges(point: SimulationResult) -> None:
 def _sweep_point(
     n_objects: int, locality: float, n_trials: int, seed: int
 ) -> SimulationResult:
-    """One averaged Figure 3 point — the unit of work both the serial
-    and the parallel sweep paths share, so their outputs are identical
-    by construction: every trial's seed derives only from ``seed`` and
-    the trial index, never from execution order."""
+    """One averaged Figure 3 point, every trial live: each trial's seed
+    derives only from ``seed`` and the trial index, never from execution
+    order."""
     with telemetry.scope("fig3.point"), telemetry.tracer().span(
         "fig3.point", kind="sweep", n_objects=n_objects,
         locality=locality, trials=n_trials, seed=seed,
@@ -267,74 +271,18 @@ def _sweep_point(
     return point
 
 
-def _point_task(
-    task: Tuple[int, float, int, int, bool, bool, int]
-) -> Tuple[SimulationResult, Dict[str, Any]]:
-    """Worker-process entry: run one point and ship the telemetry delta
-    back with it.  The registry is reset first because a forked worker
-    inherits the parent's counts and must report only its own.  The
-    tracing and observation flags travel in the task tuple (not the
-    inherited process state) so both also work under spawn-based
-    pools."""
-    n_objects, locality, n_trials, seed, trace, observe, stride = task
-    telemetry.reset()
-    telemetry.enable_tracing(trace)
-    telemetry.enable_observation(observe, stride)
-    point = _sweep_point(n_objects, locality, n_trials, seed)
-    return point, telemetry.snapshot()
-
-
-def _tasks(
-    points: List[Tuple[int, float]], n_trials: int, seed: int
-) -> List[Tuple[int, float, int, int, bool, bool, int]]:
-    trace = telemetry.tracer().enabled
-    obs = telemetry.observer()
-    return [
-        (n, loc, n_trials, seed, trace, obs.enabled, obs.stride)
-        for n, loc in points
-    ]
-
-
-def _run_points_parallel(
-    tasks: List[Tuple[int, float, int, int, bool, bool, int]], workers: int
-) -> List[SimulationResult]:
-    """Fan ``tasks`` (one per locality point) over a process pool.
-
-    Results come back in task order (``Executor.map``), and worker
-    telemetry snapshots are folded into this process's registry so a
-    parallel sweep reports the same grant/block counters a serial one
-    would.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    points: List[SimulationResult] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for point, snap in pool.map(_point_task, tasks):
-            telemetry.merge(snap)
-            points.append(point)
-    return points
-
-
 def sweep_locality(
     n_objects: int,
     localities: Sequence[float],
     n_trials: int = 10,
     seed: int = 42,
-    workers: Optional[int] = None,
 ) -> List[SimulationResult]:
     """One averaged point per locality value — a single Figure 3 curve.
 
     The returned results carry the *mean* used-channel count of
     ``n_trials`` independent trials (rounded to the nearest integer for
     ``used_channels``), so curves are smooth enough to compare.
-
-    ``workers`` > 1 fans the locality points out over a process pool;
-    the output is bit-identical to the serial path (trial seeds depend
-    only on ``seed`` and the trial index).
     """
-    if workers is not None and workers > 1:
-        tasks = _tasks([(n_objects, loc) for loc in localities], n_trials, seed)
-        return _run_points_parallel(tasks, workers)
     return [
         _sweep_point(n_objects, loc, n_trials, seed) for loc in localities
     ]
@@ -345,30 +293,14 @@ def figure3_series(
     n_trials: int = 10,
     seed: int = 42,
     n_objects_list: Sequence[int] = FIGURE3_NOBJECTS,
-    workers: Optional[int] = None,
 ) -> Dict[int, List[SimulationResult]]:
     """The full Figure 3 data set: one locality-swept curve per N.
 
     Returns ``{n_objects: [SimulationResult, ...]}`` with locality running
     from most local (left of the paper's plot) to fully random (right).
-
-    ``workers`` > 1 runs every (N, locality) point of the whole series
-    through one shared process pool, chunked by locality point, with
-    output bit-identical to the serial path.
     """
     if localities is None:
-        localities = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
-    if workers is not None and workers > 1:
-        tasks = _tasks(
-            [(n, loc) for n in n_objects_list for loc in localities],
-            n_trials,
-            seed,
-        )
-        points = _run_points_parallel(tasks, workers)
-        series: Dict[int, List[SimulationResult]] = {}
-        for point in points:
-            series.setdefault(point.n_objects, []).append(point)
-        return series
+        localities = FIGURE3_LOCALITIES
     return {
         n: sweep_locality(n, localities, n_trials=n_trials, seed=seed)
         for n in n_objects_list

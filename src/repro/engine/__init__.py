@@ -1,29 +1,26 @@
-"""High-throughput batched sweep engine (shared by the fig3/faults CLIs).
+"""The sweep engine: the one driver of the fig3/faults sweeps.
 
 Layers, bottom up:
 
-* :mod:`repro.engine.cache` — the bounded LRU both caches sit on;
-* :mod:`repro.engine.routes` — :class:`RouteMemo`, the interned
-  channel-occupancy state machine with a memoized transition table;
+* :mod:`repro.engine.cache` — the bounded LRU the trial cache sits on;
 * :mod:`repro.engine.core` — :class:`SweepEngine`, the memoizing trial
-  runner with byte-identical telemetry replay;
-* :mod:`repro.engine.sweep` — batched, load-balanced dispatch of whole
-  sweeps (:func:`run_fig3`, :func:`run_faults`).
+  runner: a vector-kernel cold path and byte-identical telemetry replay;
+* :mod:`repro.engine.sweep` — whole sweeps (:func:`run_fig3`,
+  :func:`run_faults`), serial or one process-pool task per point.
 
-Everything here is an accelerator, never an oracle: any cache miss,
-capacity overflow, or instrumentation request falls back to the live
-simulator, and cached output is byte-identical to the serial paths.
+Everything here is an accelerator, never an oracle: a trial the replay
+cannot reproduce (tracing, live CSD faults, retries after a block) runs
+on the live simulator, and the output is byte-identical to the live
+reference sweeps.
 """
 
 from repro.engine.cache import LRUCache, MISSING
 from repro.engine.core import SweepEngine, TrialEntry
-from repro.engine.routes import RouteMemo
 from repro.engine.sweep import run_faults, run_fig3
 
 __all__ = [
     "LRUCache",
     "MISSING",
-    "RouteMemo",
     "SweepEngine",
     "TrialEntry",
     "run_fig3",

@@ -1,131 +1,119 @@
-"""Batched, dynamically load-balanced sweep dispatch over the engine.
+"""The sweep driver: every Figure 3 and fault-campaign sweep runs here.
 
-The legacy parallel paths (:func:`repro.csd.simulator.figure3_series`,
-:func:`repro.faults.campaign.run_campaign`) fan out one *sweep point*
-per pool task via ``Executor.map`` — fixed-size work units, one straggler
-point stalls the tail.  This layer flattens every sweep into *(point,
-trial)* tasks, chunks them into batches, and dispatches the batches with
-``submit`` + ``as_completed`` so free workers steal whatever is left.
-Each worker process keeps one persistent :class:`~repro.engine.core.SweepEngine`,
-so route-memo and trial-cache state accumulates across the batches it
-serves.
+:func:`run_fig3` and :func:`run_faults` run each sweep point on a
+:class:`~repro.engine.core.SweepEngine`, whose trials resolve on the
+vector kernel and replay their telemetry, so the output is
+byte-identical to the live reference sweeps
+(:func:`repro.csd.simulator.figure3_series`,
+:func:`repro.faults.campaign.run_campaign`).  Every mode takes this one
+path:
 
-Determinism: batches are slices of the flattened task list, results are
-reassembled by batch index (never completion order), per-trial telemetry
-captures are summed in trial order, and the per-point aggregation is the
-exact helper the serial paths use — so the batched output is
-byte-identical to the serial one.  Tracing cannot be replayed from a
-cache, so with tracing enabled these entry points delegate to the
-legacy traced paths unchanged.  Observation *can* be replayed: cached
-trials re-derive their samples from the grant log through
-:class:`~repro.megascale.kernel.VectorSampler` (see
-:mod:`repro.engine.core`), so ``--engine --observe`` runs stay batched
-and cached — the worker payloads carry the observer (and profiler)
-switches across the process boundary, and the parent sets the same
-per-point gauges the legacy paths set.
+* observation replays from the grant log of each cached trial;
+* tracing needs no path of its own: spans cannot be replayed, so with
+  the tracer on the engine runs every trial live and the spans are the
+  reference sweep's;
+* ``workers`` > 1 runs each sweep point as one process-pool task:
+  the worker runs the same serial point function under the parent's
+  tracing, observation and profiling switches and ships its telemetry
+  snapshot back, and the parent merges the snapshots in point order.
+  Results, reports, registry, traces and observation bundles are
+  therefore byte-identical to the serial run.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.csd.simulator import (
+    FIGURE3_LOCALITIES,
     FIGURE3_NOBJECTS,
     SimulationResult,
     _aggregate_point,
-    figure3_series,
     record_point_gauges,
-)
-from repro.faults.campaign import (
-    CAMPAIGN_SCHEMA,
-    DEFAULT_POLICY,
-    _LOCALITY,
-    _aggregate_campaign_point,
-    _capture_before,
-    _capture_delta,
-    RetryPolicy,
-    record_campaign_gauges,
-    run_campaign,
-    run_fault_trial,
 )
 from repro.engine.core import SweepEngine
 
-__all__ = ["run_fig3", "run_faults", "DEFAULT_BATCHES_PER_WORKER"]
-
-#: Batches per worker the auto batch size aims for: small enough that a
-#: straggler batch costs ~1/4 of one worker's share, large enough that
-#: dispatch overhead stays negligible.
-DEFAULT_BATCHES_PER_WORKER = 4
-
-#: Default localities of the full Figure 3 series (mirrors
-#: :func:`repro.csd.simulator.figure3_series`).
-_DEFAULT_LOCALITIES = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
-
-#: One engine per (worker process, kernel), created lazily on the first
-#: batch and reused for every batch that lands on this worker — that
-#: reuse is what keeps the route memo (or the vector kernel's trial
-#: cache) warm across batches.  Keyed by kernel so a worker serving a
-#: ``--kernel vector`` run never hands those batches a route-memo engine
-#: left over from an earlier run in the same pool.
-_WORKER_ENGINES: Dict[str, SweepEngine] = {}
-
-
-def _worker_engine(kernel: str = "route") -> SweepEngine:
-    engine = _WORKER_ENGINES.get(kernel)
-    if engine is None:
-        engine = _WORKER_ENGINES[kernel] = SweepEngine(kernel=kernel)
-    return engine
-
-
-def _traced() -> bool:
-    return telemetry.tracer().enabled
-
-
-def _worker_switches() -> Tuple[bool, int, bool]:
-    """The instrumentation switches a pool worker must restore after its
-    ``telemetry.reset()``: (observation on, observation stride, profiling
-    on).  Tracing never reaches the engine pool (it delegates)."""
-    obs = telemetry.observer()
-    return (obs.enabled, obs.stride, telemetry.profiler().enabled)
-
-
-def _apply_worker_switches(observe: bool, stride: int, profile: bool) -> None:
-    if observe:
-        telemetry.enable_observation(True, stride)
-    if profile:
-        telemetry.enable_profiling(True)
-
-
-def _chunked(tasks: List[Any], workers: int, batch_size: Optional[int]):
-    if batch_size is None:
-        per = workers * DEFAULT_BATCHES_PER_WORKER
-        batch_size = max(1, -(-len(tasks) // per))
-    return [
-        tuple(tasks[i : i + batch_size])
-        for i in range(0, len(tasks), batch_size)
-    ]
-
+__all__ = ["run_fig3", "run_faults"]
 
 def _record_engine_telemetry(cached: int, live: int) -> None:
     """Engine effectiveness counters for ``--stats`` / snapshots.  Only
-    touched when non-zero, so an engine run that cached nothing leaves
-    the registry exactly as the legacy path would."""
+    touched when non-zero, so a point that cached nothing leaves the
+    registry exactly as the reference sweep would."""
     if cached:
         telemetry.counter("engine.trials.cached").inc(cached)
     if live:
         telemetry.counter("engine.trials.live").inc(live)
 
 
+def _engine_point(
+    point_fn: Callable[..., Any], *args, engine: SweepEngine, **kwargs
+):
+    """Run one sweep point and count how its trials were served."""
+    cached, live = engine.trials_cached, engine.trials_live
+    point = point_fn(*args, engine=engine, **kwargs)
+    _record_engine_telemetry(
+        engine.trials_cached - cached, engine.trials_live - live
+    )
+    return point
+
+
+def _point_task(task) -> Tuple[Any, Dict[str, Any]]:
+    """Worker entry: one sweep point on a fresh engine, with the telemetry
+    it recorded.  The registry is reset first because a forked worker
+    inherits the parent's counts and must report only its own; the
+    switches travel in the task so spawn-based pools work too."""
+    point_fn, args, kwargs, (trace, observe, stride, profile) = task
+    telemetry.reset()
+    telemetry.enable_tracing(trace)
+    telemetry.enable_observation(observe, stride)
+    telemetry.enable_profiling(profile)
+    point = _engine_point(point_fn, *args, engine=SweepEngine(), **kwargs)
+    return point, telemetry.snapshot()
+
+
+def _run_points(
+    point_fn: Callable[..., Any],
+    points: List[Tuple[Any, ...]],
+    workers: Optional[int],
+    engine: Optional[SweepEngine],
+    **kwargs,
+) -> List[Any]:
+    """``point_fn(*args, engine=..., **kwargs)`` for each ``args`` in
+    ``points``, in order: serially on one engine, or one pool task per
+    point with the telemetry merged in point order."""
+    if workers is None or workers <= 1:
+        engine = engine if engine is not None else SweepEngine()
+        return [
+            _engine_point(point_fn, *args, engine=engine, **kwargs)
+            for args in points
+        ]
+    from concurrent.futures import ProcessPoolExecutor
+
+    obs = telemetry.observer()
+    switches = (
+        telemetry.tracer().enabled, obs.enabled, obs.stride,
+        telemetry.profiler().enabled,
+    )
+    tasks = [(point_fn, args, kwargs, switches) for args in points]
+    results = []
+    with telemetry.profile_stage("engine.dispatch"):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for point, snap in pool.map(_point_task, tasks):
+                telemetry.merge(snap)
+                results.append(point)
+    return results
+
+
 # -- Figure 3 ---------------------------------------------------------------
 
 
-def _engine_fig3_point(
-    engine: SweepEngine, n_objects: int, locality: float, n_trials: int, seed: int
+def _fig3_point(
+    n_objects: int, locality: float, n_trials: int, seed: int,
+    engine: SweepEngine,
 ) -> SimulationResult:
-    """Serial engine twin of :func:`repro.csd.simulator._sweep_point`,
-    including the per-point observer gauges."""
+    """Engine twin of :func:`repro.csd.simulator._sweep_point`, including
+    the per-point observer gauges."""
     with telemetry.scope("fig3.point"), telemetry.tracer().span(
         "fig3.point", kind="sweep", n_objects=n_objects,
         locality=locality, trials=n_trials, seed=seed,
@@ -142,31 +130,6 @@ def _engine_fig3_point(
     return point
 
 
-def _fig3_chunk(args):
-    """Worker entry: run one batch of trials on this worker's persistent
-    engine; ship the results with the batch's telemetry delta and its
-    wall-clock latency."""
-    chunk_index, items, kernel, observe, stride, profile = args
-    telemetry.reset()
-    _apply_worker_switches(observe, stride, profile)
-    engine = _worker_engine(kernel)
-    cached0, live0 = engine.trials_cached, engine.trials_live
-    start = time.perf_counter()
-    results = [
-        engine.run_csd_trial(n, loc, trial_seed, sample_series=sample)
-        for n, loc, trial_seed, sample in items
-    ]
-    elapsed = time.perf_counter() - start
-    return (
-        chunk_index,
-        results,
-        telemetry.snapshot(),
-        elapsed,
-        engine.trials_cached - cached0,
-        engine.trials_live - live0,
-    )
-
-
 def run_fig3(
     localities: Optional[Sequence[float]] = None,
     n_trials: int = 5,
@@ -174,137 +137,29 @@ def run_fig3(
     n_objects_list: Sequence[int] = FIGURE3_NOBJECTS,
     workers: Optional[int] = None,
     engine: Optional[SweepEngine] = None,
-    batch_size: Optional[int] = None,
-    kernel: str = "route",
 ) -> Dict[int, List[SimulationResult]]:
-    """Engine-path :func:`~repro.csd.simulator.figure3_series`: same
-    return shape, byte-identical results, trial batching instead of
-    per-point fan-out.  Observation rides along (cached trials replay
-    their observation documents byte-for-byte); tracing alone still
-    delegates to the legacy traced path, which has no vector cold path,
-    so ``kernel`` must stay at its default there.
+    """The Figure 3 data set, as :func:`~repro.csd.simulator.figure3_series`
+    returns it (byte-identical results), on the engine.
 
-    ``kernel`` picks the cold-path backend of every engine this sweep
-    creates (``"route"`` or ``"vector"``, see
-    :class:`~repro.engine.core.SweepEngine`); a caller-supplied
-    ``engine`` brings its own kernel and wins.
+    ``workers`` > 1 runs one process-pool task per point; ``engine``
+    (serial runs only) keeps its trial cache across calls.
     """
     if localities is None:
-        localities = list(_DEFAULT_LOCALITIES)
-    if _traced():
-        if kernel != "route":
-            raise ValueError(
-                "the vector kernel cannot replay tracing; "
-                "run without --trace or with kernel='route'"
-            )
-        return figure3_series(
-            localities=localities, n_trials=n_trials, seed=seed,
-            n_objects_list=n_objects_list, workers=workers,
-        )
-    points = [(n, loc) for n in n_objects_list for loc in localities]
-    if workers is not None and workers > 1:
-        flat = _run_fig3_batched(
-            points, n_trials, seed, workers, batch_size, kernel
-        )
-        results = []
-        observing = telemetry.observer().enabled
-        for index, (n, loc) in enumerate(points):
-            trials = flat[index * n_trials : (index + 1) * n_trials]
-            with telemetry.scope("fig3.point"), telemetry.tracer().span(
-                "fig3.point", kind="sweep", n_objects=n, locality=loc,
-                trials=n_trials, seed=seed,
-            ):
-                pass  # trials already ran in the pool; keep the timer's call count
-            point = _aggregate_point(n, loc, trials)
-            if observing:
-                record_point_gauges(point)
-            results.append(point)
-    else:
-        eng = engine if engine is not None else SweepEngine(kernel=kernel)
-        cached0, live0 = eng.trials_cached, eng.trials_live
-        results = [
-            _engine_fig3_point(eng, n, loc, n_trials, seed) for n, loc in points
-        ]
-        _record_engine_telemetry(
-            eng.trials_cached - cached0, eng.trials_live - live0
-        )
-    series: Dict[int, List[SimulationResult]] = {}
-    for point in results:
-        series.setdefault(point.n_objects, []).append(point)
+        localities = FIGURE3_LOCALITIES
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    if n_objects_list and min(n_objects_list) < 2:
+        raise ValueError("need at least two objects")
+    points = [
+        (n, loc, n_trials, seed) for n in n_objects_list for loc in localities
+    ]
+    series: Dict[int, List[SimulationResult]] = {n: [] for n in n_objects_list}
+    for point in _run_points(_fig3_point, points, workers, engine):
+        series[point.n_objects].append(point)
     return series
 
 
-def _run_fig3_batched(
-    points: List[Tuple[int, float]],
-    n_trials: int,
-    seed: int,
-    workers: int,
-    batch_size: Optional[int],
-    kernel: str,
-) -> List[SimulationResult]:
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    tasks = [
-        (n, loc, seed + 1000 * t, t == 0)
-        for n, loc in points
-        for t in range(n_trials)
-    ]
-    chunks = _chunked(tasks, workers, batch_size)
-    observe, stride, profile = _worker_switches()
-    payloads = [
-        (i, chunk, kernel, observe, stride, profile)
-        for i, chunk in enumerate(chunks)
-    ]
-    done: Dict[int, Tuple[List[SimulationResult], Dict[str, Any], float, int, int]] = {}
-    with telemetry.profile_stage("engine.dispatch"):
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fig3_chunk, payload) for payload in payloads]
-            for future in as_completed(futures):
-                index, results, snap, elapsed, cached, live = future.result()
-                done[index] = (results, snap, elapsed, cached, live)
-    flat: List[SimulationResult] = []
-    latency = telemetry.histogram("engine.batch.seconds")
-    for index in range(len(chunks)):
-        results, snap, elapsed, cached, live = done[index]
-        telemetry.merge(snap)  # batch-index order == serial trial order
-        latency.observe(elapsed)
-        _record_engine_telemetry(cached, live)
-        flat.extend(results)
-    return flat
-
-
 # -- fault campaign ---------------------------------------------------------
-
-
-def _faults_chunk(args):
-    """Worker entry: one batch of fault trials, each with its own
-    counter-delta/recovery capture so the parent can rebuild exact
-    per-point captures regardless of how batches split the points."""
-    (chunk_index, items, seed, policy_tuple, locality, kernel, csd_rate,
-     observe, stride, profile) = args
-    telemetry.reset()
-    _apply_worker_switches(observe, stride, profile)
-    engine = _worker_engine(kernel)
-    cached0, live0 = engine.trials_cached, engine.trials_live
-    policy = RetryPolicy(*policy_tuple)
-    start = time.perf_counter()
-    out = []
-    for n_objects, rate, trial in items:
-        before = _capture_before()
-        result = run_fault_trial(
-            n_objects, rate, trial, seed, policy=policy, locality=locality,
-            engine=engine, csd_rate=csd_rate,
-        )
-        out.append((result, *_capture_delta(before)))
-    elapsed = time.perf_counter() - start
-    return (
-        chunk_index,
-        out,
-        telemetry.snapshot(),
-        elapsed,
-        engine.trials_cached - cached0,
-        engine.trials_live - live0,
-    )
 
 
 def run_faults(
@@ -312,149 +167,41 @@ def run_faults(
     n_objects_list: Sequence[int] = (16, 32, 64),
     n_trials: int = 8,
     seed: int = 42,
-    policy: RetryPolicy = DEFAULT_POLICY,
-    locality: float = _LOCALITY,
+    policy=None,
+    locality: Optional[float] = None,
     workers: Optional[int] = None,
     engine: Optional[SweepEngine] = None,
-    batch_size: Optional[int] = None,
-    kernel: str = "route",
     csd_rate: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Engine-path :func:`~repro.faults.campaign.run_campaign`: same
-    report schema, byte-identical content, trial batching instead of
-    per-point fan-out.  Observation rides along (the fault phases sample
-    live in the workers; cached CSD phases replay their samples); tracing
-    alone still delegates to the legacy traced path.
+    """The fault campaign report, as
+    :func:`~repro.faults.campaign.run_campaign` builds it (byte-identical
+    JSON), on the engine.
 
-    ``kernel`` picks the engines' cold-path backend (as in
-    :func:`run_fig3`); ``csd_rate`` pins the CSD-segment fault rate
-    independently of the swept ``rates`` (as in
-    :func:`~repro.faults.campaign.run_campaign`) — ``csd_rate=0.0`` is
-    what lets the vector kernel serve the datapath phase of a faulty
-    reconfiguration campaign.
+    ``policy`` and ``locality`` default to the campaign's.  ``csd_rate``
+    pins the CSD-segment fault rate independently of the swept
+    ``rates``; ``csd_rate=0.0`` is what lets the engine serve the
+    datapath phase of a faulty reconfiguration campaign from its cache.
+    ``workers`` and ``engine`` work as in :func:`run_fig3`.
     """
-    if _traced():
-        if kernel != "route":
-            raise ValueError(
-                "the vector kernel cannot replay tracing; "
-                "run without --trace or with kernel='route'"
-            )
-        return run_campaign(
-            rates, n_objects_list=n_objects_list, n_trials=n_trials,
-            seed=seed, policy=policy, locality=locality, workers=workers,
-            csd_rate=csd_rate,
-        )
-    if not rates:
-        raise ValueError("need at least one fault rate")
-    if not n_objects_list:
-        raise ValueError("need at least one array size")
-    grid = [(n, r) for r in rates for n in n_objects_list]
-    points: List[Dict[str, Any]]
-    if workers is not None and workers > 1:
-        points = _run_faults_batched(
-            grid, n_trials, seed, policy, locality, workers, batch_size,
-            kernel, csd_rate,
-        )
-    else:
-        from repro.faults.campaign import campaign_point
-
-        eng = engine if engine is not None else SweepEngine(kernel=kernel)
-        cached0, live0 = eng.trials_cached, eng.trials_live
-        points = [
-            campaign_point(
-                n, r, n_trials, seed, policy=policy, locality=locality,
-                engine=eng, csd_rate=csd_rate,
-            )
-            for n, r in grid
-        ]
-        _record_engine_telemetry(
-            eng.trials_cached - cached0, eng.trials_live - live0
-        )
-    report: Dict[str, Any] = {
-        "schema": CAMPAIGN_SCHEMA,
-        "seed": seed,
-        "trials": n_trials,
-        "locality": float(locality),
-        "rates": [float(r) for r in rates],
-        "n_objects": [int(n) for n in n_objects_list],
-        "policy": {
-            "max_attempts": policy.max_attempts,
-            "base_backoff_cycles": policy.base_backoff_cycles,
-            "backoff_multiplier": policy.backoff_multiplier,
-        },
-        "points": points,
-    }
-    if csd_rate is not None:
-        report["csd_rate"] = float(csd_rate)
-    return report
-
-
-def _run_faults_batched(
-    grid: List[Tuple[int, float]],
-    n_trials: int,
-    seed: int,
-    policy: RetryPolicy,
-    locality: float,
-    workers: int,
-    batch_size: Optional[int],
-    kernel: str,
-    csd_rate: Optional[float],
-) -> List[Dict[str, Any]]:
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    policy_tuple = (
-        policy.max_attempts,
-        policy.base_backoff_cycles,
-        policy.backoff_multiplier,
+    # imported here so that a Figure 3 sweep never loads the fault stack
+    from repro.faults.campaign import (
+        DEFAULT_POLICY,
+        _LOCALITY,
+        campaign_point,
+        campaign_report,
+        check_campaign_args,
     )
-    tasks = [(n, r, t) for n, r in grid for t in range(n_trials)]
-    chunks = _chunked(tasks, workers, batch_size)
-    observe, stride, profile = _worker_switches()
-    done: Dict[int, Tuple[list, Dict[str, Any], float, int, int]] = {}
-    with telemetry.profile_stage("engine.dispatch"):
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _faults_chunk,
-                    (i, chunk, seed, policy_tuple, locality, kernel,
-                     csd_rate, observe, stride, profile),
-                )
-                for i, chunk in enumerate(chunks)
-            ]
-            for future in as_completed(futures):
-                index, out, snap, elapsed, cached, live = future.result()
-                done[index] = (out, snap, elapsed, cached, live)
-    flat: List[Tuple[Dict[str, Any], Dict[str, float], List[float]]] = []
-    latency = telemetry.histogram("engine.batch.seconds")
-    for index in range(len(chunks)):
-        out, snap, elapsed, cached, live = done[index]
-        telemetry.merge(snap)  # batch-index order == serial trial order
-        latency.observe(elapsed)
-        _record_engine_telemetry(cached, live)
-        flat.extend(out)
-    points: List[Dict[str, Any]] = []
-    observing = telemetry.observer().enabled
-    for index, (n_objects, rate) in enumerate(grid):
-        window = flat[index * n_trials : (index + 1) * n_trials]
-        trials = [w[0] for w in window]
-        # per-trial captures summed in trial order == one point-wide capture
-        deltas = {
-            name: sum(w[1][name] for w in window)
-            for name in window[0][1]
-        }
-        recovery: List[float] = []
-        for w in window:
-            recovery.extend(w[2])
-        with telemetry.scope("faults.point"), telemetry.tracer().span(
-            "faults.point", kind="campaign", n_objects=n_objects,
-            rate=rate, trials=n_trials, seed=seed,
-        ):
-            pass  # trials already ran in the pool; keep the timer's call count
-        if observing:
-            record_campaign_gauges(n_objects, rate, trials, recovery)
-        points.append(
-            _aggregate_campaign_point(
-                n_objects, rate, n_trials, locality, trials, deltas, recovery
-            )
-        )
-    return points
+
+    policy = DEFAULT_POLICY if policy is None else policy
+    locality = _LOCALITY if locality is None else locality
+    check_campaign_args(rates, n_objects_list, n_trials)
+    points = _run_points(
+        campaign_point,
+        [(n, r, n_trials, seed) for r in rates for n in n_objects_list],
+        workers, engine,
+        policy=policy, locality=locality, csd_rate=csd_rate,
+    )
+    return campaign_report(
+        rates, n_objects_list, n_trials, seed, policy, locality, csd_rate,
+        points,
+    )

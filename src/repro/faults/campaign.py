@@ -20,12 +20,12 @@ protocols the faults can corrupt:
   paper's re-split response (``split_at_junction``).
 
 Every seed derives from ``(campaign seed, n_objects, rate, trial)``
-alone and point results travel with their telemetry snapshots, so the
-parallel path (``--workers N``) is **bit-identical** to the serial one —
-the same guarantee (and the same pool machinery) as
-:mod:`repro.csd.simulator`.  With ``rate=0`` the CSD aggregates are
-byte-identical to :func:`repro.csd.simulator._sweep_point` for the same
-seed: the fault layer is provably free when empty.
+alone, never from execution order.  :func:`run_campaign` is the serial,
+all-live reference; the CLI runs the same points through
+:func:`repro.engine.run_faults` (serially or over a process pool), which
+must produce the byte-identical report.  With ``rate=0`` the CSD
+aggregates are byte-identical to :func:`repro.csd.simulator._sweep_point`
+for the same seed: the fault layer is provably free when empty.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ __all__ = [
     "run_fault_trial",
     "campaign_point",
     "run_campaign",
+    "campaign_report",
+    "check_campaign_args",
     "report_json",
 ]
 
@@ -333,35 +335,6 @@ def _percentiles(values: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def _capture_before() -> Tuple[Dict[str, float], int]:
-    """Snapshot the campaign counters and the recovery-histogram length
-    so a later :func:`_capture_delta` isolates one stretch of work."""
-    return (
-        {name: telemetry.counter(name).value for name in _COUNTERS},
-        len(telemetry.histogram("faults.recovery.cycles").values),
-    )
-
-
-def _capture_delta(
-    before: Tuple[Dict[str, float], int]
-) -> Tuple[Dict[str, float], List[float]]:
-    """Counter deltas and new recovery samples since ``before``.
-
-    Deltas are additive and the histogram only appends, so per-trial
-    captures summed (and slices concatenated) in trial order equal one
-    capture around the whole point — the identity the batched engine
-    path relies on."""
-    counters, hist_before = before
-    deltas = {
-        name: telemetry.counter(name).value - counters[name]
-        for name in _COUNTERS
-    }
-    recovery = list(
-        telemetry.histogram("faults.recovery.cycles").values[hist_before:]
-    )
-    return deltas, recovery
-
-
 def _aggregate_campaign_point(
     n_objects: int,
     rate: float,
@@ -372,9 +345,7 @@ def _aggregate_campaign_point(
     recovery: Sequence[float],
 ) -> Dict[str, Any]:
     """Fold one point's trial dicts (plus its telemetry capture) into
-    the report entry.  Shared verbatim by the serial path, the per-point
-    pool fan-out, and the batched engine path, so every path feeding the
-    same trials in trial order produces bit-identical entries."""
+    the report entry."""
     csd_trials = [t["csd"] for t in trials]
     outcomes = {
         key: sum(1 for t in trials if t["reconfig"]["outcome"] == key)
@@ -413,27 +384,6 @@ def _aggregate_campaign_point(
     }
 
 
-def record_campaign_gauges(
-    n_objects: int,
-    rate: float,
-    trials: List[Dict[str, Any]],
-    recovery: Sequence[float],
-) -> None:
-    """Set one campaign point's observation gauges.
-
-    Shared by :func:`campaign_point` and the engine sweep
-    (:mod:`repro.engine.sweep`), so every path leaves the same
-    ``faults.survival`` / ``faults.recovery_p95`` gauge state (one
-    update per point) behind."""
-    label = point_label(n=n_objects, rate=rate)
-    telemetry.gauge(f"faults.survival{label}").set(
-        float(np.mean([1.0 if t["survived"] else 0.0 for t in trials]))
-    )
-    telemetry.gauge(f"faults.recovery_p95{label}").set(
-        _percentiles(recovery)["p95"]
-    )
-
-
 def campaign_point(
     n_objects: int,
     rate: float,
@@ -444,7 +394,8 @@ def campaign_point(
     engine=None,
     csd_rate: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """One averaged campaign point (the unit of parallel fan-out).
+    """One averaged campaign point (one process-pool task of a parallel
+    :func:`repro.engine.run_faults`).
 
     The returned dict is JSON-safe (ints, floats, strings only — no
     process-dependent ids, no timestamps), which is what makes the
@@ -454,7 +405,9 @@ def campaign_point(
         raise ValueError("need at least one trial")
     if not 0.0 <= rate <= 1.0:
         raise ValueError("fault rate must be in [0, 1]")
-    before = _capture_before()
+    counters = {name: telemetry.counter(name).value for name in _COUNTERS}
+    recovery_cycles = telemetry.histogram("faults.recovery.cycles")
+    recovery_before = len(recovery_cycles.values)
     with telemetry.scope("faults.point"), telemetry.tracer().span(
         "faults.point", kind="campaign", n_objects=n_objects,
         rate=rate, trials=n_trials, seed=seed,
@@ -466,98 +419,54 @@ def campaign_point(
             )
             for t in range(n_trials)
         ]
-    deltas, recovery = _capture_delta(before)
-    if telemetry.observer().enabled:
-        record_campaign_gauges(n_objects, rate, trials, recovery)
-    return _aggregate_campaign_point(
+    deltas = {
+        name: telemetry.counter(name).value - counters[name]
+        for name in _COUNTERS
+    }
+    recovery = list(recovery_cycles.values[recovery_before:])
+    point = _aggregate_campaign_point(
         n_objects, rate, n_trials, locality, trials, deltas, recovery
     )
+    if telemetry.observer().enabled:
+        label = point_label(n=n_objects, rate=rate)
+        telemetry.gauge(f"faults.survival{label}").set(point["survival"])
+        telemetry.gauge(f"faults.recovery_p95{label}").set(
+            point["recovery_cycles"]["p95"]
+        )
+    return point
 
 
-# -- campaign sweep (serial and process-pool paths) -------------------------
-
-Task = Tuple[
-    int, float, int, int, Tuple[int, int, int], float, bool, bool, int,
-    Optional[float],
-]
+# -- campaign sweep ---------------------------------------------------------
 
 
-def _campaign_task(task: Task) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Worker-process entry: one point plus its telemetry delta (the
-    registry is reset first — a forked worker inherits the parent's
-    counts and must report only its own)."""
-    (
-        n_objects, rate, n_trials, seed, policy_tuple, locality,
-        trace, observe, stride, csd_rate,
-    ) = task
-    telemetry.reset()
-    telemetry.enable_tracing(trace)
-    telemetry.enable_observation(observe, stride)
-    policy = RetryPolicy(*policy_tuple)
-    point = campaign_point(
-        n_objects, rate, n_trials, seed, policy=policy, locality=locality,
-        csd_rate=csd_rate,
-    )
-    return point, telemetry.snapshot()
-
-
-def run_campaign(
-    rates: Sequence[float],
-    n_objects_list: Sequence[int] = (16, 32, 64),
-    n_trials: int = 8,
-    seed: int = 42,
-    policy: RetryPolicy = DEFAULT_POLICY,
-    locality: float = _LOCALITY,
-    workers: Optional[int] = None,
-    csd_rate: Optional[float] = None,
-) -> Dict[str, Any]:
-    """The full sweep: one point per (rate, n_objects), rate-major order.
-
-    ``workers`` > 1 fans the points out over a process pool with worker
-    telemetry snapshots folded back in — the report (and the registry)
-    is bit-identical to the serial path.
-
-    ``csd_rate``, when given, pins the CSD-segment fault rate at that
-    value across the whole sweep while ``rates`` continues to drive
-    every other fault kind (see :func:`run_fault_trial`); the override
-    is recorded in the report under ``"csd_rate"``.
-    """
+def check_campaign_args(
+    rates: Sequence[float], n_objects_list: Sequence[int], n_trials: int
+) -> None:
+    """Reject a campaign the trials could not run, before any of them
+    starts."""
     if not rates:
         raise ValueError("need at least one fault rate")
     if not n_objects_list:
         raise ValueError("need at least one array size")
-    grid = [(n, r) for r in rates for n in n_objects_list]
-    policy_tuple = (
-        policy.max_attempts,
-        policy.base_backoff_cycles,
-        policy.backoff_multiplier,
-    )
-    points: List[Dict[str, Any]]
-    if workers is not None and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    if not all(0.0 <= rate <= 1.0 for rate in rates):
+        raise ValueError("fault rate must be in [0, 1]")
+    if min(n_objects_list) < 2:
+        raise ValueError("need at least two objects")
 
-        trace = telemetry.tracer().enabled
-        obs = telemetry.observer()
-        tasks: List[Task] = [
-            (
-                n, r, n_trials, seed, policy_tuple, locality,
-                trace, obs.enabled, obs.stride, csd_rate,
-            )
-            for n, r in grid
-        ]
-        points = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for point, snap in pool.map(_campaign_task, tasks):
-                telemetry.merge(snap)
-                points.append(point)
-    else:
-        points = [
-            campaign_point(
-                n, r, n_trials, seed, policy=policy, locality=locality,
-                csd_rate=csd_rate,
-            )
-            for n, r in grid
-        ]
+
+def campaign_report(
+    rates: Sequence[float],
+    n_objects_list: Sequence[int],
+    n_trials: int,
+    seed: int,
+    policy: RetryPolicy,
+    locality: float,
+    csd_rate: Optional[float],
+    points: List[Dict[str, Any]],
+) -> Dict[str, Any]:
+    """The campaign report around its points, rate-major order."""
     report: Dict[str, Any] = {
         "schema": CAMPAIGN_SCHEMA,
         "seed": seed,
@@ -575,6 +484,38 @@ def run_campaign(
     if csd_rate is not None:
         report["csd_rate"] = float(csd_rate)
     return report
+
+
+def run_campaign(
+    rates: Sequence[float],
+    n_objects_list: Sequence[int] = (16, 32, 64),
+    n_trials: int = 8,
+    seed: int = 42,
+    policy: RetryPolicy = DEFAULT_POLICY,
+    locality: float = _LOCALITY,
+    csd_rate: Optional[float] = None,
+) -> Dict[str, Any]:
+    """The full sweep, every trial live: one point per (rate, n_objects),
+    rate-major order.
+
+    ``csd_rate``, when given, pins the CSD-segment fault rate at that
+    value across the whole sweep while ``rates`` continues to drive
+    every other fault kind (see :func:`run_fault_trial`); the override
+    is recorded in the report under ``"csd_rate"``.
+    """
+    check_campaign_args(rates, n_objects_list, n_trials)
+    points = [
+        campaign_point(
+            n, r, n_trials, seed, policy=policy, locality=locality,
+            csd_rate=csd_rate,
+        )
+        for r in rates
+        for n in n_objects_list
+    ]
+    return campaign_report(
+        rates, n_objects_list, n_trials, seed, policy, locality, csd_rate,
+        points,
+    )
 
 
 def report_json(report: Dict[str, Any]) -> str:

@@ -292,7 +292,9 @@ class VectorCSDKernel:
 
     def used_channels(self) -> int:
         n = self._n
-        return int(len(np.unique(self._ch[:n]))) if n else 0
+        # bincount, not np.unique: unique imports numpy.ma (~1.7 MB
+        # peak RSS) on first use
+        return int(np.count_nonzero(np.bincount(self._ch[:n]))) if n else 0
 
     def highest_used_channel(self) -> int:
         n = self._n

@@ -10,16 +10,16 @@ rendering) is canonical:
   elision a parallel run would expose ghost families a fresh serial
   process lacks);
 * engine bookkeeping (``engine.*``) is elided: it describes *how* a run
-  executed (cache hits, batch latencies), not what the fabric did, and
-  it would break the byte-identity of ``--engine`` bundles against live
-  ones.  The self-profiling families (``profile.*``) stay — they are a
+  executed (cached and live trials), not what the fabric did, and it
+  would break the byte-identity of engine bundles against the live
+  reference sweep's.  The self-profiling families (``profile.*``) stay — they are a
   deliberate observability product with their own report;
 * wall-clock timer seconds are excluded (only call counts travel), so
   two runs of the same seed compare byte-for-byte no matter the host;
 * families, samples and cells are sorted on stable keys.
 
 These rules are what make ``--observe`` output byte-identical between
-a serial sweep, a ``--workers N`` one, and an ``--engine`` one.
+a serial sweep, a ``--workers N`` one, and the live reference sweep.
 
 The renderings are also *lossless*: :func:`reconstruct_observation`
 rebuilds the exact document from the OpenMetrics text plus the two
@@ -853,7 +853,7 @@ def observation_drops(doc: Dict[str, Any]) -> List[Tuple[str, int]]:
 
 def format_profile_report(doc: Dict[str, Any]) -> str:
     """Terminal summary of the self-profiling layer (``repro profile``):
-    the ``profile.*`` stage timers and route-memo counters an enabled
+    the ``profile.*`` stage timers and counters an enabled
     :class:`~repro.telemetry.profile.Profiler` left in the document.
 
     Stage wall times are inherently host-dependent, so this report —

@@ -1,7 +1,7 @@
 """Self-profiling: stage timers for the engine and kernel fast paths.
 
-The fast paths (route-memo resolution, vector kernel batches, cached
-replay, pool dispatch) are exactly the places where a ``Timer`` per call
+The fast paths (vector kernel resolution, cached replay, pool
+dispatch) are exactly the places where a ``Timer`` per call
 would distort what it measures.  This module follows the tracer's
 zero-cost-when-disabled discipline instead: a :class:`Profiler` guard
 that costs one attribute read when off, and a :func:`profile_stage`

@@ -1,6 +1,6 @@
-"""Whole-sweep identity: the engine entry points must reproduce the
-legacy serial sweeps byte for byte — results, report JSON, and registry
-— in serial, warm, and batched-parallel modes."""
+"""Whole-sweep identity: the sweep driver must reproduce the live
+reference sweeps byte for byte — results, report JSON, registry and
+traces — in serial, warm, traced and process-pool modes."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro import telemetry
 from repro.csd.simulator import figure3_series
 from repro.engine import SweepEngine, run_faults, run_fig3
 from repro.faults.campaign import report_json, run_campaign
+from repro.telemetry.export import to_chrome_trace
 
 LOCALITIES = [1.0, 0.5, 0.0]
 N_OBJECTS = [16, 32]
@@ -81,23 +82,38 @@ class TestFig3Identity:
         assert _registry_signature() == sig
 
     def test_instrumented_run_delegates_to_legacy(self):
-        series, _ = self._legacy()
-        telemetry.reset()
-        telemetry.enable_tracing()
-        try:
-            got = run_fig3(
-                localities=LOCALITIES, n_trials=4, seed=42,
-                n_objects_list=N_OBJECTS,
-            )
-        finally:
-            telemetry.enable_tracing(False)
-        assert got == series
-        assert len(telemetry.tracer().spans) > 0  # spans were recorded
+        """Spans cannot be replayed: with the tracer on the engine hands
+        every trial to the live simulator, so the trace is the reference
+        sweep's."""
+        kwargs = dict(
+            localities=LOCALITIES, n_trials=2, seed=42,
+            n_objects_list=N_OBJECTS,
+        )
+        runs = []
+        for sweep in (figure3_series, run_fig3):
+            telemetry.reset()
+            telemetry.enable_tracing()
+            runs.append((sweep(**kwargs), to_chrome_trace(telemetry.tracer())))
+        telemetry.enable_tracing(False)
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]["traceEvents"]) > 1  # spans were recorded
+
+    def test_rejects_bad_arguments_before_dispatch(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="need at least one trial"):
+            run_fig3(n_trials=0, n_objects_list=N_OBJECTS, workers=2)
+        with pytest.raises(ValueError, match="need at least two objects"):
+            run_fig3(n_trials=1, n_objects_list=[1], workers=2)
 
 
 class TestVectorKernelIdentity:
-    """The vector cold path must be indistinguishable from the route
-    memo and the legacy simulator — results and registry alike."""
+    """The vector cold path must be indistinguishable from the live
+    simulator — results and registry alike."""
 
     def _legacy(self):
         telemetry.reset()
@@ -106,31 +122,15 @@ class TestVectorKernelIdentity:
         )
         return series, _registry_signature()
 
-    def test_fig3_vector_matches_legacy_and_route(self):
-        series, sig = self._legacy()
-        telemetry.reset()
-        vector = run_fig3(
-            localities=LOCALITIES, n_trials=3, seed=7,
-            n_objects_list=N_OBJECTS, kernel="vector",
-        )
-        assert vector == series
-        assert _registry_signature() == sig
-        telemetry.reset()
-        route = run_fig3(
-            localities=LOCALITIES, n_trials=3, seed=7,
-            n_objects_list=N_OBJECTS, kernel="route",
-        )
-        assert vector == route
-
     def test_fig3_vector_parallel_matches_serial(self):
         serial = run_fig3(
             localities=LOCALITIES, n_trials=3, seed=7,
-            n_objects_list=N_OBJECTS, kernel="vector",
+            n_objects_list=N_OBJECTS,
         )
         telemetry.reset()
         parallel = run_fig3(
             localities=LOCALITIES, n_trials=3, seed=7,
-            n_objects_list=N_OBJECTS, kernel="vector", workers=2,
+            n_objects_list=N_OBJECTS, workers=2,
         )
         assert parallel == serial
 
@@ -142,8 +142,7 @@ class TestVectorKernelIdentity:
         sig = _registry_signature()
         telemetry.reset()
         got = run_faults(
-            RATES, n_objects_list=[16], n_trials=2, seed=9,
-            kernel="vector", csd_rate=0.0,
+            RATES, n_objects_list=[16], n_trials=2, seed=9, csd_rate=0.0,
         )
         assert report_json(got) == report_json(legacy)
         assert _registry_signature() == sig
@@ -152,26 +151,6 @@ class TestVectorKernelIdentity:
     def test_csd_rate_key_absent_when_not_pinned(self):
         report = run_faults([0.0], n_objects_list=[16], n_trials=1, seed=9)
         assert "csd_rate" not in report
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            SweepEngine(kernel="simd")
-
-    def test_instrumented_vector_run_rejected(self):
-        telemetry.enable_tracing(True)
-        try:
-            with pytest.raises(ValueError):
-                run_fig3(
-                    localities=LOCALITIES, n_trials=1, seed=7,
-                    n_objects_list=[16], kernel="vector",
-                )
-            with pytest.raises(ValueError):
-                run_faults(
-                    [0.0], n_objects_list=[16], n_trials=1, seed=7,
-                    kernel="vector",
-                )
-        finally:
-            telemetry.enable_tracing(False)
 
 
 class TestFaultsIdentity:
@@ -208,8 +187,26 @@ class TestFaultsIdentity:
         assert report_json(got) == legacy_json
         assert _registry_signature() == sig
 
+    def test_traced_run_matches_reference_trace(self):
+        kwargs = dict(n_objects_list=[16], n_trials=2, seed=42)
+        runs = []
+        for sweep in (run_campaign, run_faults):
+            telemetry.reset()
+            telemetry.enable_tracing()
+            report = report_json(sweep(RATES, **kwargs))
+            runs.append((report, to_chrome_trace(telemetry.tracer())))
+        telemetry.enable_tracing(False)
+        assert runs[0] == runs[1]
+
     def test_validates_arguments_like_legacy(self):
-        with pytest.raises(ValueError):
-            run_faults([], **self.KW)
-        with pytest.raises(ValueError):
-            run_faults(RATES, n_objects_list=[], n_trials=3, seed=42)
+        for rates, kwargs, message in (
+            ([], self.KW, "need at least one fault rate"),
+            (RATES, dict(self.KW, n_objects_list=[]),
+             "need at least one array size"),
+            (RATES, dict(self.KW, n_trials=0), "need at least one trial"),
+            ([0.0, 1.5], self.KW, r"fault rate must be in \[0, 1\]"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run_campaign(rates, **kwargs)
+            with pytest.raises(ValueError, match=message):
+                run_faults(rates, workers=2, **kwargs)

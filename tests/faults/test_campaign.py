@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.csd.simulator import _sweep_point
+from repro.engine import run_faults
 from repro.faults.campaign import (
     CAMPAIGN_SCHEMA,
     campaign_point,
@@ -56,14 +57,14 @@ class TestSerialParallelIdentity:
         )
         serial = report_json(run_campaign(**kwargs))
         telemetry.reset()
-        parallel = report_json(run_campaign(**kwargs, workers=2))
+        parallel = report_json(run_faults(**kwargs, workers=2))
         assert serial == parallel
 
     def test_parallel_run_merges_worker_telemetry(self):
         run_campaign([0.2], n_objects_list=[16], n_trials=2, seed=7)
         serial_triggers = telemetry.counter("faults.triggered").value
         telemetry.reset()
-        run_campaign([0.2], n_objects_list=[16], n_trials=2, seed=7, workers=2)
+        run_faults([0.2], n_objects_list=[16], n_trials=2, seed=7, workers=2)
         assert telemetry.counter("faults.triggered").value == serial_triggers
         assert serial_triggers > 0
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro import telemetry
 from repro.csd.simulator import sweep_locality
+from repro.engine import run_fig3
 from repro.telemetry.analysis import (
     blocking_hotspots,
     critical_path,
@@ -34,10 +35,18 @@ def _clean_default_registry():
     telemetry.enable_tracing(False)
 
 
-def traced_sweep(**kwargs) -> Tracer:
+def traced_sweep(workers=None) -> Tracer:
+    """The reference sweep's spans, or (with ``workers``) the sweep
+    driver's, which the CLI records."""
     telemetry.reset()
     telemetry.enable_tracing()
-    sweep_locality(8, [1.0, 0.0], n_trials=2, seed=3, **kwargs)
+    if workers is None:
+        sweep_locality(8, [1.0, 0.0], n_trials=2, seed=3)
+    else:
+        run_fig3(
+            [1.0, 0.0], n_trials=2, seed=3, n_objects_list=[8],
+            workers=workers,
+        )
     return telemetry.tracer()
 
 
@@ -120,11 +129,12 @@ class TestChromeTraceFormat:
 
 class TestDeterminism:
     def test_workers_trace_merges_bit_identical_to_serial(self, tmp_path):
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        write_chrome_trace(traced_sweep(), str(serial))
-        write_chrome_trace(traced_sweep(workers=2), str(parallel))
-        assert serial.read_bytes() == parallel.read_bytes()
+        reference = tmp_path / "reference.json"
+        write_chrome_trace(traced_sweep(), str(reference))
+        for workers in (1, 2):
+            engine = tmp_path / f"engine-{workers}.json"
+            write_chrome_trace(traced_sweep(workers=workers), str(engine))
+            assert engine.read_bytes() == reference.read_bytes(), workers
 
     def test_export_excludes_wall_clock_by_default(self):
         doc = to_chrome_trace(traced_sweep())

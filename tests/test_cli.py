@@ -261,9 +261,13 @@ class TestQuietFlag:
         assert "seed=" not in capsys.readouterr().out
 
 
+NOOP_NOTICE = "--engine and --kernel are no-ops"
+
+
 class TestEngineFlag:
-    """``--engine`` must change throughput only: stdout and the report
-    file stay byte-identical to the legacy path."""
+    """``--engine`` is an accepted no-op: every sweep already runs on the
+    engine, so stdout and the report file stay byte-identical and one
+    notice goes to stderr."""
 
     def _fig3(self, capsys, extra=()):
         assert main(
@@ -272,10 +276,11 @@ class TestEngineFlag:
         return capsys.readouterr()
 
     def test_fig3_engine_matches_plain_stdout(self, capsys):
-        plain = self._fig3(capsys).out
+        plain = self._fig3(capsys)
         eng = self._fig3(capsys, ["--engine"])
-        assert eng.out == plain
-        assert "engine trials" in eng.err  # stats go to stderr only
+        assert eng.out == plain.out
+        assert plain.err == ""
+        assert eng.err.count("\n") == 1 and NOOP_NOTICE in eng.err
 
     def test_fig3_engine_workers_match_plain_stdout(self, capsys):
         plain = self._fig3(capsys).out
@@ -292,33 +297,31 @@ class TestEngineFlag:
         assert main([*base, "--engine", "--report", str(eng)]) == 0
         err = capsys.readouterr().err
         assert plain.read_bytes() == eng.read_bytes()
-        assert "engine trials" in err
+        assert err.count("\n") == 1 and NOOP_NOTICE in err
 
     def test_engine_with_observe_stays_on_engine(self, capsys, tmp_path):
-        """Observation replays from the cache now — an --engine --observe
-        run must stay on the engine and write the exact bundle the live
-        path writes."""
         live, eng = tmp_path / "live", tmp_path / "eng"
         self._fig3(capsys, ["--quiet", "--observe", str(live)])
         res = self._fig3(
             capsys, ["--quiet", "--engine", "--observe", str(eng)]
         )
-        assert "cannot replay" not in res.err
-        assert "engine trials" in res.err
-        for name in ("observe.json", "metrics.prom", "series.csv",
-                     "heatmaps.csv", "dashboard.html"):
+        assert NOOP_NOTICE in res.err
+        for name in BUNDLE_FILES:
             assert (eng / name).read_bytes() == (live / name).read_bytes()
 
     def test_engine_with_trace_falls_back(self, capsys, tmp_path):
-        trace = tmp_path / "t.json"
-        res = self._fig3(capsys, ["--engine", "--trace", str(trace)])
-        assert "--engine cannot replay traces" in res.err
-        assert trace.exists()
+        """Traced trials fall back to the live simulator whatever the
+        flags say, so the trace is the same with or without --engine."""
+        plain, eng = tmp_path / "plain.json", tmp_path / "eng.json"
+        self._fig3(capsys, ["--trace", str(plain)])
+        res = self._fig3(capsys, ["--engine", "--trace", str(eng)])
+        assert NOOP_NOTICE in res.err
+        assert eng.read_bytes() == plain.read_bytes()
 
 
 class TestVectorKernelFlag:
-    """``--kernel vector`` must change throughput only, like ``--engine``
-    — and refuse the combinations the vector path cannot serve."""
+    """``--kernel`` is an accepted no-op like ``--engine``: the engine
+    always runs the vector kernel."""
 
     def _fig3(self, capsys, extra=()):
         assert main(
@@ -330,6 +333,7 @@ class TestVectorKernelFlag:
         plain = self._fig3(capsys).out
         vec = self._fig3(capsys, ["--engine", "--kernel", "vector"])
         assert vec.out == plain
+        assert vec.err.count("\n") == 1 and NOOP_NOTICE in vec.err
 
     def test_fig3_vector_workers_match_plain_stdout(self, capsys):
         plain = self._fig3(capsys).out
@@ -338,34 +342,45 @@ class TestVectorKernelFlag:
         )
         assert vec.out == plain
 
-    def test_vector_without_engine_is_an_error(self, capsys):
-        assert main(
-            ["fig3", "--n-objects", "16", "--trials", "1",
-             "--kernel", "vector"]
-        ) == 2
-        assert "--kernel vector needs --engine" in capsys.readouterr().err
+    @pytest.mark.parametrize("kernel", ["vector", "route"])
+    def test_kernel_alone_is_a_noop(self, capsys, kernel):
+        plain = self._fig3(capsys).out
+        res = self._fig3(capsys, ["--kernel", kernel])
+        assert res.out == plain
+        assert res.err.count("\n") == 1 and NOOP_NOTICE in res.err
 
-    def test_vector_with_trace_is_an_error(self, capsys, tmp_path):
+    def test_kernel_with_trace_is_a_noop(self, capsys, tmp_path):
+        plain, vec = tmp_path / "plain.json", tmp_path / "vec.json"
+        base = ["faults", "--rates", "0", "--n-objects", "16", "--trials",
+                "1", "--quiet"]
+        assert main([*base, "--trace", str(plain)]) == 0
         assert main(
-            ["faults", "--rates", "0", "--n-objects", "16", "--trials", "1",
-             "--engine", "--kernel", "vector",
-             "--trace", str(tmp_path / "t.json")]
-        ) == 2
-        assert "--kernel vector" in capsys.readouterr().err
+            [*base, "--engine", "--kernel", "vector", "--trace", str(vec)]
+        ) == 0
+        assert NOOP_NOTICE in capsys.readouterr().err
+        assert vec.read_bytes() == plain.read_bytes()
 
     def test_vector_observe_bundle_matches_live(self, capsys, tmp_path):
-        """The tentpole contract: a vector-kernel engine run emits the
-        byte-exact observation bundle the live path emits."""
+        """The engine's replayed observation bundle is the byte-exact
+        bundle of the live reference sweep."""
+        from repro.csd.simulator import figure3_series
+        from repro.telemetry.exposition import write_observation
+
         live, vec = tmp_path / "live", tmp_path / "vec"
-        base = ["fig3", "--n-objects", "16", "64", "--trials", "2",
-                "--quiet"]
-        assert main([*base, "--observe", str(live)]) == 0
+        telemetry.enable_observation()
+        figure3_series(
+            localities=[1.0, 0.8, 0.6, 0.4, 0.2, 0.0], n_trials=2,
+            n_objects_list=[16, 64],
+        )
+        write_observation(telemetry.snapshot(), str(live),
+                          title="fig3 observation")
+        telemetry.reset()
         assert main(
-            [*base, "--engine", "--kernel", "vector", "--observe", str(vec)]
+            ["fig3", "--n-objects", "16", "64", "--trials", "2", "--quiet",
+             "--engine", "--kernel", "vector", "--observe", str(vec)]
         ) == 0
         capsys.readouterr()
-        for name in ("observe.json", "metrics.prom", "series.csv",
-                     "heatmaps.csv", "dashboard.html"):
+        for name in BUNDLE_FILES:
             assert (vec / name).read_bytes() == (live / name).read_bytes()
 
     def test_faults_vector_csd_rate_report_matches_plain(
@@ -383,6 +398,87 @@ class TestVectorKernelFlag:
         capsys.readouterr()
         assert plain.read_bytes() == vec.read_bytes()
         assert json.loads(plain.read_text())["csd_rate"] == 0.0
+
+
+class TestSweepPath:
+    """Which trials a fig3 run executes live: none untraced (the engine
+    resolves and replays them), every one under --trace (spans cannot be
+    replayed)."""
+
+    ARGS = ["fig3", "--n-objects", "16", "32", "--trials", "2"]
+
+    @pytest.fixture
+    def live_trials(self, monkeypatch):
+        from repro.csd.simulator import CSDSimulator
+
+        calls = []
+        real = CSDSimulator.run_trial
+
+        def run_trial(self, *args, **kwargs):
+            calls.append(self.n_objects)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CSDSimulator, "run_trial", run_trial)
+        return calls
+
+    def test_untraced_fig3_runs_no_live_trial(
+        self, capsys, tmp_path, live_trials
+    ):
+        assert main(self.ARGS) == 0
+        assert main(
+            [*self.ARGS, "--stats", "--profile", "--observe", str(tmp_path)]
+        ) == 0
+        assert live_trials == []
+
+    def test_traced_fig3_runs_every_trial_live(
+        self, capsys, tmp_path, live_trials
+    ):
+        assert main([*self.ARGS, "--trace", str(tmp_path / "t.json")]) == 0
+        # 2 sizes x 6 localities x 2 trials
+        assert len(live_trials) == 24
+
+
+class TestSweepInputErrors:
+    """Bad numbers on a fig3/faults command line are one stderr line and
+    exit 2, never a traceback."""
+
+    def _rejected(self, capsys, argv, needle):
+        assert main(argv) == 2
+        res = capsys.readouterr()
+        assert res.out == ""
+        assert res.err.count("\n") == 1 and needle in res.err
+        assert "Traceback" not in res.err
+
+    @pytest.mark.parametrize("command", ["fig3", "faults"])
+    def test_trials_below_one(self, capsys, command):
+        self._rejected(
+            capsys, [command, "--n-objects", "16", "--trials", "0"],
+            f"{command}: --trials must be at least 1, got 0",
+        )
+
+    @pytest.mark.parametrize("command", ["fig3", "faults"])
+    def test_n_objects_below_two(self, capsys, command):
+        self._rejected(
+            capsys, [command, "--n-objects", "16", "1", "--trials", "1"],
+            f"{command}: --n-objects must be at least 2, got 1",
+        )
+
+    @pytest.mark.parametrize("command", ["fig3", "faults"])
+    def test_workers_below_one(self, capsys, command):
+        self._rejected(
+            capsys,
+            [command, "--n-objects", "16", "--trials", "1", "--workers", "-3"],
+            f"{command}: --workers must be at least 1, got -3",
+        )
+
+    @pytest.mark.parametrize("flag", ["--rate", "--rates", "--csd-rate"])
+    @pytest.mark.parametrize("rate", ["1.5", "-0.1", "nan"])
+    def test_rate_outside_unit_interval(self, capsys, flag, rate):
+        self._rejected(
+            capsys,
+            ["faults", "--n-objects", "16", "--trials", "1", flag, rate],
+            f"faults: {flag} must be in [0, 1], got",
+        )
 
 
 class TestBaselineCommand:
