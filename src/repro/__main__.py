@@ -708,20 +708,6 @@ def _cmd_chip(rows: int, cols: int) -> int:
     return 0
 
 
-def _add_noop_engine_flags(parser: argparse.ArgumentParser) -> None:
-    # accepted for one more release so existing command lines keep
-    # working; every sweep already runs on the engine's vector kernel
-    parser.add_argument(
-        "--engine", action="store_true",
-        help="no-op (every sweep runs on the engine); will be removed",
-    )
-    parser.add_argument(
-        "--kernel", choices=("route", "vector"), default=None,
-        help="no-op (the engine always runs the vector kernel); will be "
-        "removed",
-    )
-
-
 def _sweep_args_problem(args: argparse.Namespace) -> Optional[str]:
     """What makes a fig3/faults command line unrunnable, if anything."""
     if args.trials < 1:
@@ -788,7 +774,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--quiet", action="store_true",
         help="suppress the reproducibility banner",
     )
-    _add_noop_engine_flags(p_fig3)
     p_fig3.add_argument(
         "--profile", action="store_true",
         help="time the engine's own stages (resolve, replay, kernel "
@@ -848,7 +833,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--quiet", action="store_true",
         help="suppress the reproducibility banner",
     )
-    _add_noop_engine_flags(p_faults)
     p_faults.add_argument(
         "--csd-rate", type=float, default=None,
         help="pin the CSD-segment fault rate at this value while --rates "
@@ -1085,13 +1069,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if problem is not None:
             print(f"{args.command}: {problem}", file=sys.stderr)
             return 2
-        if args.engine or args.kernel is not None:
-            print(
-                f"{args.command}: --engine and --kernel are no-ops (every "
-                "sweep runs on the engine's vector kernel) and will be "
-                "removed",
-                file=sys.stderr,
-            )
     if args.command == "fig3":
         return _cmd_fig3(
             args.n_objects, args.trials, workers=args.workers,

@@ -23,7 +23,8 @@ tenant's occupancy.
 
 from __future__ import annotations
 
-from typing import Collection, List, Optional, Set, Tuple
+import weakref
+from typing import Collection, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import RegionError
 from repro.topology.regions import Region, path_region, rectangle_region
@@ -39,29 +40,26 @@ class ClusterAllocator:
 
     def __init__(self, fabric: STopology) -> None:
         self.fabric = fabric
+        #: Fold walk of each live frozen scope (a resident tenant's
+        #: shard is one), built on its first search; an entry goes when
+        #: its scope is garbage-collected.
+        self._walks: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # -- queries -----------------------------------------------------------
 
     def free_count(self, within: Optional[Collection[Coord]] = None) -> int:
-        free = self.fabric.free_clusters()
         if within is None:
-            return len(free)
-        scope = set(within)
-        return sum(1 for cluster in free if cluster.coord in scope)
+            return len(self.fabric.free_clusters())
+        return sum(
+            1 for _, coord in self._fold_walk(within)
+            if self.fabric.cluster(coord).is_free
+        )
 
     def largest_free_run(
         self, within: Optional[Collection[Coord]] = None
     ) -> int:
         """Longest contiguous run of free clusters in fold order."""
-        scope = self._scope(within)
-        best = run = 0
-        for coord in self.fabric.linear_order():
-            if self._eligible(coord, scope):
-                run += 1
-                best = max(best, run)
-            else:
-                run = 0
-        return best
+        return max((len(run) for run in self._free_runs(within)), default=0)
 
     # -- strategies -------------------------------------------------------
 
@@ -71,15 +69,9 @@ class ClusterAllocator:
         """First contiguous free run of ``n_clusters`` along the fold."""
         if n_clusters < 1:
             raise RegionError("need at least one cluster")
-        scope = self._scope(within)
-        run: List[Coord] = []
-        for coord in self.fabric.linear_order():
-            if self._eligible(coord, scope):
-                run.append(coord)
-                if len(run) == n_clusters:
-                    return path_region(run)
-            else:
-                run = []
+        for run in self._free_runs(within):
+            if len(run) >= n_clusters:
+                return path_region(run[:n_clusters])
         return None
 
     def find_rectangle(
@@ -131,6 +123,45 @@ class ClusterAllocator:
         return region
 
     # -- internals ---------------------------------------------------------
+
+    def _fold_walk(
+        self, within: Optional[Collection[Coord]]
+    ) -> Iterable[Tuple[int, Coord]]:
+        """``(fold index, coord)`` over the search scope, in fold order:
+        the whole fold, or just the in-grid ``within`` coordinates —
+        O(scope), never O(die), and sorted only once per frozen scope."""
+        fabric = self.fabric
+        if within is None:
+            return enumerate(fabric.linear_order())
+        walk = self._walks.get(within) if isinstance(within, frozenset) else None
+        if walk is None:
+            walk = sorted(
+                (fabric.fold_index(coord), coord)
+                for coord in set(within)
+                if coord in fabric
+            )
+            if isinstance(within, frozenset):
+                self._walks[within] = walk
+        return walk
+
+    def _free_runs(
+        self, within: Optional[Collection[Coord]]
+    ) -> Iterator[List[Coord]]:
+        """Maximal runs of free scope clusters, in fold order: a gap in
+        the fold index (a busy, defective or out-of-scope cluster)
+        breaks a run."""
+        run: List[Coord] = []
+        last = -1
+        for index, coord in self._fold_walk(within):
+            if not self.fabric.cluster(coord).is_free:
+                continue
+            if run and index != last + 1:
+                yield run
+                run = []
+            run.append(coord)
+            last = index
+        if run:
+            yield run
 
     @staticmethod
     def _scope(within: Optional[Collection[Coord]]) -> Optional[Set[Coord]]:

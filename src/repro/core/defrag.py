@@ -21,7 +21,6 @@ from typing import Any, List, Optional, Tuple
 from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.noc.wormhole import WORM_FAILURES
-from repro.topology.folding import serpentine_unfold
 
 __all__ = ["MoveRecord", "Defragmenter"]
 
@@ -72,7 +71,7 @@ class Defragmenter:
         return 1.0 - self.vlsi.allocator.largest_free_run() / free
 
     def _fold_index(self, coord: Tuple[int, int]) -> int:
-        return serpentine_unfold(coord, self.vlsi.fabric.cols)
+        return self.vlsi.fabric.fold_index(coord)
 
     # -- compaction ---------------------------------------------------------
 

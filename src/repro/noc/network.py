@@ -92,6 +92,11 @@ class RouterNetwork:
         self._inject_backlog: Dict[Coord, Deque[Flit]] = {
             coord: deque() for coord in self.routers
         }
+        #: Flits queued in routers or awaiting injection.  Every path that
+        #: adds or removes one keeps it exact (:meth:`inject` adds,
+        #: ejection and :meth:`purge` remove; express delivery never
+        #: queues), so the drain checks cost O(1), not O(die).
+        self._in_flight = 0
         self._inject_time: Dict[int, int] = {}
         self._arrived_flits: Dict[int, int] = {}
         self._packet_meta: Dict[int, Packet] = {}
@@ -112,6 +117,7 @@ class RouterNetwork:
         self._inject_time[packet.packet_id] = self.cycle_count
         self._packet_meta[packet.packet_id] = packet
         self._inject_backlog[packet.src].extend(packet.flits)
+        self._in_flight += len(packet.flits)
 
     # -- simulation -------------------------------------------------------
 
@@ -136,6 +142,7 @@ class RouterNetwork:
         for coord, router, move in proposals:
             if move.out_port is Port.LOCAL:
                 flit = router.commit_move(move)
+                self._in_flight -= 1
                 if tracing:
                     tracer.complete(
                         "noc.hop", kind="flit", packet=flit.packet_id,
@@ -399,6 +406,7 @@ class RouterNetwork:
         for backlog in self._inject_backlog.values():
             dropped += len(backlog)
             backlog.clear()
+        self._in_flight = 0
         if dropped:
             telemetry.counter("noc.purged_flits").inc(dropped)
             telemetry.event("noc.purge", flits=dropped)
@@ -407,16 +415,16 @@ class RouterNetwork:
     # -- state queries -----------------------------------------------------
 
     def is_drained(self) -> bool:
-        return (
-            all(not b for b in self._inject_backlog.values())
-            and all(r.is_idle for r in self.routers.values())
-        )
+        """No flit queued, no wormhole lock held, no backlog.
+
+        One counter check: a worm's locks are released by its tail
+        flit, so once every injected flit has ejected (or been purged)
+        no router can still hold a lock."""
+        return self._in_flight == 0
 
     def in_flight(self) -> int:
         """Flits currently queued in routers or awaiting injection."""
-        return sum(r.occupancy() for r in self.routers.values()) + sum(
-            len(b) for b in self._inject_backlog.values()
-        )
+        return self._in_flight
 
     def buffer_depths(self) -> Dict[str, int]:
         """Queued-flit count per router, keyed ``"r<row>c<col>"`` in

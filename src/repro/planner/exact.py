@@ -26,7 +26,7 @@ budget bounds the worst case, falling back to the best schedule found
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.planner.cost import diff_regions, naive_move_cost, ops_cost
 from repro.planner.plan import RegionMove, RewireCost, RewirePlan
@@ -49,7 +49,7 @@ class ExactSearch:
     exhausted: bool
 
 
-def _largest_run(order: List[Coord], free: Set[Coord]) -> int:
+def _largest_run(order: Sequence[Coord], free: Set[Coord]) -> int:
     best = run = 0
     for coord in order:
         if coord in free:
@@ -61,10 +61,10 @@ def _largest_run(order: List[Coord], free: Set[Coord]) -> int:
 
 
 def search_exact(
-    order: List[Coord],
+    order: Sequence[Coord],
     pool: Set[Coord],
     layout: Dict[str, Region],
-    fold: Dict[Coord, int],
+    fold: Callable[[Coord], int],
     quality_floor: int,
     seed_cost: int,
     node_budget: int = 50_000,
@@ -81,14 +81,14 @@ def search_exact(
     layout:
         Movable processors' starting regions.
     fold:
-        Coordinate -> fold index.
+        Coordinate -> fold index (:meth:`STopology.fold_index`).
     quality_floor:
         Minimum acceptable final largest free run (the greedy fixpoint's).
     seed_cost:
         The greedy plan's delta cost; only strictly cheaper accepted
         schedules are reported.
     """
-    names = sorted(layout, key=lambda n: fold[layout[n].path[0]])
+    names = sorted(layout, key=lambda n: fold(layout[n].path[0]))
     best_cost = seed_cost
     best_moves: Optional[Tuple[RegionMove, ...]] = None
     nodes = 0
@@ -127,7 +127,7 @@ def search_exact(
             target = earliest_free_run(order, pool, occupied, len(region))
             if target is None or target.path == region.path:
                 continue
-            if fold[target.path[0]] >= fold[region.path[0]]:
+            if fold(target.path[0]) >= fold(region.path[0]):
                 continue
             ops = diff_regions(region, target)
             move = RegionMove(

@@ -28,7 +28,7 @@ the service layer can report what delta rewiring saves.
 
 from __future__ import annotations
 
-from typing import Collection, List, Optional, Set, Tuple
+from typing import Collection, List, Optional, Sequence, Set, Tuple
 
 from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import ProcessorInstance, VLSIProcessor
@@ -38,7 +38,6 @@ from repro.planner.exact import build_plan, exact_plan_meta, search_exact
 from repro.planner.naive import plan_from_sim
 from repro.planner.plan import RegionMove, RewirePlan
 from repro.planner.simulate import simulate_compaction
-from repro.topology.folding import serpentine_unfold
 from repro.topology.regions import Region, path_region
 
 __all__ = ["MinimalPlanner"]
@@ -103,8 +102,7 @@ class MinimalPlanner:
             return greedy
 
         fabric = vlsi.fabric
-        order = list(fabric.linear_order())
-        fold = {c: serpentine_unfold(c, fabric.cols) for c in order}
+        order = fabric.linear_order()
         pool: Set[Coord] = {
             c for c in order if fabric.cluster(c).is_free
         }
@@ -115,7 +113,7 @@ class MinimalPlanner:
             occupied_final.update(region.path)
         quality_floor = _largest_run_of(order, pool - occupied_final)
         result = search_exact(
-            order, pool, movable, fold,
+            order, pool, movable, fabric.fold_index,
             quality_floor=quality_floor,
             seed_cost=greedy.cost.total,
             node_budget=self.node_budget,
@@ -209,7 +207,7 @@ class MinimalPlanner:
         )
 
 
-def _largest_run_of(order: List[Coord], free: Set[Coord]) -> int:
+def _largest_run_of(order: Sequence[Coord], free: Set[Coord]) -> int:
     best = current = 0
     for coord in order:
         if coord in free:

@@ -19,11 +19,10 @@ releases just to search).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import VLSIProcessor
-from repro.topology.folding import serpentine_unfold
 from repro.topology.regions import Region, path_region
 
 __all__ = ["SimMove", "SimVisit", "CompactionSim", "simulate_compaction",
@@ -66,7 +65,7 @@ class CompactionSim:
 
 
 def earliest_free_run(
-    order: List[Coord],
+    order: Sequence[Coord],
     pool: Set[Coord],
     occupied: Set[Coord],
     n: int,
@@ -90,8 +89,8 @@ def simulate_compaction(
 ) -> CompactionSim:
     """Replay the legacy compaction loop without touching the fabric."""
     fabric = vlsi.fabric
-    order = list(fabric.linear_order())
-    fold = {coord: serpentine_unfold(coord, fabric.cols) for coord in order}
+    order = fabric.linear_order()
+    fold = fabric.fold_index
 
     layout: Dict[str, Region] = {}
     movable: List[str] = []
@@ -122,7 +121,7 @@ def simulate_compaction(
             # the satellite-4 discipline: re-derive the visit key from the
             # *current* layout each iteration, never from a stale pre-pass
             # sort (fold indices are unique, so min() is deterministic)
-            name = min(pending, key=lambda p: fold[layout[p].path[0]])
+            name = min(pending, key=lambda p: fold(layout[p].path[0]))
             visited.add(name)
             region = layout[name]
             occupied: Set[Coord] = set()
@@ -132,7 +131,7 @@ def simulate_compaction(
             target = earliest_free_run(order, pool, occupied, len(region))
             if (
                 target is None
-                or fold[target.path[0]] >= fold[region.path[0]]
+                or fold(target.path[0]) >= fold(region.path[0])
             ):
                 putbacks.append(SimVisit(name, passes, region))
                 continue

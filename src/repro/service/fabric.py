@@ -32,7 +32,7 @@ state — the foundation of the service's byte-identical latency reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.errors import (
@@ -142,6 +142,11 @@ class ResidentFabric:
         self.max_tenants = max_tenants
         self.tenants: Dict[str, Tenant] = {}
         self._shard_owner: Dict[Coord, str] = {}
+        #: Qualified names of each resident tenant's live processors —
+        #: kept by :meth:`create`, :meth:`destroy` and :meth:`evict` so
+        #: per-request tenant queries never scan the whole die's
+        #: processor table.
+        self._processors: Dict[str, Set[str]] = {}
         #: Tenants admitted over the fabric's lifetime (monotonic).
         self.admitted_total = 0
 
@@ -202,6 +207,7 @@ class ResidentFabric:
                 )
         tenant = Tenant(name=name, shard=shard, quota=quota)
         self.tenants[name] = tenant
+        self._processors[name] = set()
         for coord in shard:
             self._shard_owner[coord] = name
         self.admitted_total += 1
@@ -210,7 +216,7 @@ class ResidentFabric:
         return tenant, 1 + clusters
 
     def _first_free_run(
-        self, order: List[Coord], n: int
+        self, order: Sequence[Coord], n: int
     ) -> Optional[Tuple[Coord, ...]]:
         run: List[Coord] = []
         for coord in order:
@@ -236,6 +242,7 @@ class ResidentFabric:
         for coord in tenant.shard:
             del self._shard_owner[coord]
         del self.tenants[name]
+        del self._processors[name]
         telemetry.counter("service.evictions").inc()
         summary = {
             "released_clusters": released,
@@ -264,6 +271,7 @@ class ResidentFabric:
         instance = self.vlsi.create_processor(
             qualified, clusters, within=tenant.shard_set
         )
+        self._processors[name].add(qualified)
         instance.mailbox.capacity = tenant.quota.mailbox_slots
         cost = 1 + instance.config_cycles + len(instance.region)
         return {
@@ -331,6 +339,7 @@ class ResidentFabric:
         qualified = self._qualify(name, proc)
         released = len(self.vlsi.processor(qualified).region)
         self.vlsi.destroy_processor(qualified)
+        self._processors[name].discard(qualified)
         return {"processor": proc, "released_clusters": released}, 1 + released
 
     def send(
@@ -416,9 +425,8 @@ class ResidentFabric:
         except KeyError:
             raise ServiceError(f"tenant {name!r} not admitted") from None
 
-    def _tenant_processors(self, name: str) -> List[str]:
-        prefix = f"{name}/"
-        return [p for p in self.vlsi.processors if p.startswith(prefix)]
+    def _tenant_processors(self, name: str) -> Set[str]:
+        return self._processors.get(name, set())
 
     def _check_cluster_quota(self, tenant: Tenant, extra: int) -> None:
         owned = self.owned_clusters(tenant.name)

@@ -255,10 +255,9 @@ class FabricService:
         if telemetry.observer().enabled:
             self._observe_completion(tenant, issue, completion, cost,
                                      prev_mark=issue)
-        order = self.fabric.vlsi.fabric.linear_order()
         result = {
             "clusters": len(tenant.shard),
-            "slot": order.index(tenant.shard[0]),
+            "slot": self.fabric.vlsi.fabric.fold_index(tenant.shard[0]),
             "schema": PROTOCOL_SCHEMA,
         }
         return self._envelope(
@@ -438,10 +437,11 @@ class FabricServer:
     """Asyncio TCP front end for a :class:`FabricService`.
 
     One connection may carry requests for many tenants (the load
-    generator multiplexes).  Tenants first seen on a connection are
-    tracked; if the connection dies before their ``bye``, they are
-    evicted — processors destroyed, shard freed — so a crashed client
-    cannot leak die area.
+    generator multiplexes).  Tenants admitted by a ``hello`` on a
+    connection are tracked; if the connection dies before their
+    ``bye``, they are evicted — processors destroyed, shard freed — so a
+    crashed client cannot leak die area.  A connection that merely
+    names another connection's tenant never evicts it.
     """
 
     def __init__(
@@ -482,7 +482,10 @@ class FabricServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        session_tenants: set = set()
+        # tenants admitted by a successful ``hello`` on this connection,
+        # by name -> the admitted Tenant, so a name re-admitted by
+        # someone else after our ``bye`` is never evicted on our hang-up
+        session_tenants: Dict[str, Tenant] = {}
         try:
             while True:
                 try:
@@ -502,18 +505,20 @@ class FabricServer:
                     break
                 if request is None:
                     break
+                response = self.service.handle(request)
                 tenant = request.get("tenant")
-                if isinstance(tenant, str):
-                    if request.get("op") == "bye":
-                        session_tenants.discard(tenant)
-                    else:
-                        session_tenants.add(tenant)
-                await write_frame(writer, self.service.handle(request))
+                if request.get("op") == "hello" and response["ok"]:
+                    session_tenants[tenant] = self.service.fabric.tenants[tenant]
+                elif request.get("op") == "bye":
+                    session_tenants.pop(tenant, None)
+                await write_frame(writer, response)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            for tenant in sorted(session_tenants):
-                self.service.disconnect(tenant)
+            tenants = self.service.fabric.tenants
+            for name, tenant in sorted(session_tenants.items()):
+                if tenants.get(name) is tenant:
+                    self.service.disconnect(name)
             writer.close()
             try:
                 await writer.wait_closed()

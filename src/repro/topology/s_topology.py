@@ -21,7 +21,7 @@ This satisfies the three properties section 3.1 demands of the topology:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.cluster import Cluster, ClusterResources
@@ -74,6 +74,11 @@ class STopology:
                 if key not in self._chain_switches:
                     self._chain_switches[key] = BidirectionalSwitch((coord, nbr))
                 self._shift_switches[(coord, nbr)] = UnidirectionalSwitch((coord, nbr))
+        # the fold never changes: build it once, with its inverse
+        self._fold: Tuple[Coord, ...] = tuple(serpentine_order(rows, cols))
+        self._fold_index: Dict[Coord, int] = {
+            coord: i for i, coord in enumerate(self._fold)
+        }
 
     # -- structural queries ---------------------------------------------------
 
@@ -112,9 +117,17 @@ class STopology:
         """Clusters in the release pool (unowned, not defective)."""
         return [cl for cl in self._clusters.values() if cl.is_free]
 
-    def linear_order(self) -> List[Coord]:
+    def linear_order(self) -> Tuple[Coord, ...]:
         """The whole-grid serpentine stack order (Figure 4(c))."""
-        return serpentine_order(self.rows, self.cols)
+        return self._fold
+
+    def fold_index(self, coord: Coord) -> int:
+        """Position of ``coord`` in :meth:`linear_order`; raises
+        :class:`TopologyError` if it is outside the grid."""
+        try:
+            return self._fold_index[coord]
+        except KeyError:
+            raise TopologyError(f"{coord} outside the grid") from None
 
     # -- switches --------------------------------------------------------
 

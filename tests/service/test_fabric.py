@@ -30,8 +30,8 @@ class TestAdmission:
         t0, cost0 = fabric.admit("t0", 4, slot=0)
         t1, _ = fabric.admit("t1", 4, slot=4)
         order = fabric.vlsi.fabric.linear_order()
-        assert list(t0.shard) == order[0:4]
-        assert list(t1.shard) == order[4:8]
+        assert t0.shard == order[0:4]
+        assert t1.shard == order[4:8]
         assert cost0 == 1 + 4
         assert not (t0.shard_set & t1.shard_set)
 
@@ -65,7 +65,7 @@ class TestAdmission:
         fabric.admit("t0", 4, slot=0)
         t1, _ = fabric.admit("t1", 4)
         order = fabric.vlsi.fabric.linear_order()
-        assert list(t1.shard) == order[4:8]
+        assert t1.shard == order[4:8]
 
     def test_no_room_without_slot(self):
         fabric = small_fabric()

@@ -197,6 +197,88 @@ class TestTCP:
         asyncio.run(go())
         assert svc.fabric.tenants == {}
 
+    @staticmethod
+    def _closed_connections(server):
+        """Wrap the server's connection handler so a test can await each
+        connection's cleanup (its disconnect evictions) having run."""
+        serve = server._serve_connection
+        closed = asyncio.Queue()
+
+        async def tracked(reader, writer):
+            try:
+                await serve(reader, writer)
+            finally:
+                closed.put_nowait(None)
+
+        server._serve_connection = tracked
+        return closed
+
+    def test_stranger_connection_cannot_evict_tenant(self):
+        """A connection that only names another connection's tenant
+        (here in a ``stats``) must not evict it when it hangs up."""
+        svc = service()
+
+        async def go():
+            server = FabricServer(svc)
+            closed = self._closed_connections(server)
+            async with server:
+                owner = await TCPClient.connect(server.host, server.port)
+                hello = await owner.request(
+                    make_request("hello", "t0", 0, 0, clusters=4, slot=0)
+                )
+                create = await owner.request(
+                    make_request(
+                        "create", "t0", 1, 10, processor="p0", clusters=2
+                    )
+                )
+                assert hello["ok"] and create["ok"]
+                stranger = await TCPClient.connect(server.host, server.port)
+                stats = await stranger.request(make_request("stats", "t0", 2, 20))
+                assert stats["ok"]
+                await stranger.close()
+                await asyncio.wait_for(closed.get(), timeout=5)
+                assert "t0" in svc.fabric.tenants
+                assert "t0/p0" in svc.fabric.vlsi.processors
+                await owner.close()
+                await asyncio.wait_for(closed.get(), timeout=5)
+
+        asyncio.run(go())
+        # the owner's own hang-up still cleans up
+        assert svc.fabric.tenants == {}
+
+    def test_hangup_spares_tenant_readmitted_elsewhere(self):
+        """After another connection's ``bye`` evicts a tenant and a third
+        re-admits the name, the first connection's hang-up leaves the
+        new tenant alone."""
+        svc = service()
+
+        async def go():
+            server = FabricServer(svc)
+            closed = self._closed_connections(server)
+            async with server:
+                clients = [
+                    await TCPClient.connect(server.host, server.port)
+                    for _ in range(3)
+                ]
+                first, second, third = clients
+                await first.request(
+                    make_request("hello", "t0", 0, 0, clusters=4, slot=0)
+                )
+                bye = await second.request(make_request("bye", "t0", 1, 10))
+                hello = await third.request(
+                    make_request("hello", "t0", 0, 20, clusters=4, slot=4)
+                )
+                assert bye["ok"] and hello["ok"]
+                await first.close()
+                await asyncio.wait_for(closed.get(), timeout=5)
+                assert svc.fabric.tenants["t0"].shard[0] == (1, 3)
+                for client in (second, third):
+                    await client.close()
+                    await asyncio.wait_for(closed.get(), timeout=5)
+
+        asyncio.run(go())
+        assert svc.fabric.tenants == {}
+
     def test_transport_equivalence(self):
         requests = [
             make_request("hello", "t0", 0, 0, clusters=4, slot=0),

@@ -261,145 +261,6 @@ class TestQuietFlag:
         assert "seed=" not in capsys.readouterr().out
 
 
-NOOP_NOTICE = "--engine and --kernel are no-ops"
-
-
-class TestEngineFlag:
-    """``--engine`` is an accepted no-op: every sweep already runs on the
-    engine, so stdout and the report file stay byte-identical and one
-    notice goes to stderr."""
-
-    def _fig3(self, capsys, extra=()):
-        assert main(
-            ["fig3", "--n-objects", "16", "32", "--trials", "3", *extra]
-        ) == 0
-        return capsys.readouterr()
-
-    def test_fig3_engine_matches_plain_stdout(self, capsys):
-        plain = self._fig3(capsys)
-        eng = self._fig3(capsys, ["--engine"])
-        assert eng.out == plain.out
-        assert plain.err == ""
-        assert eng.err.count("\n") == 1 and NOOP_NOTICE in eng.err
-
-    def test_fig3_engine_workers_match_plain_stdout(self, capsys):
-        plain = self._fig3(capsys).out
-        eng = self._fig3(capsys, ["--engine", "--workers", "2"])
-        assert eng.out == plain
-
-    def test_faults_engine_report_matches_plain(self, capsys, tmp_path):
-        plain, eng = tmp_path / "plain.json", tmp_path / "eng.json"
-        base = [
-            "faults", "--rates", "0", "0.05", "--n-objects", "16",
-            "--trials", "2", "--quiet",
-        ]
-        assert main([*base, "--report", str(plain)]) == 0
-        assert main([*base, "--engine", "--report", str(eng)]) == 0
-        err = capsys.readouterr().err
-        assert plain.read_bytes() == eng.read_bytes()
-        assert err.count("\n") == 1 and NOOP_NOTICE in err
-
-    def test_engine_with_observe_stays_on_engine(self, capsys, tmp_path):
-        live, eng = tmp_path / "live", tmp_path / "eng"
-        self._fig3(capsys, ["--quiet", "--observe", str(live)])
-        res = self._fig3(
-            capsys, ["--quiet", "--engine", "--observe", str(eng)]
-        )
-        assert NOOP_NOTICE in res.err
-        for name in BUNDLE_FILES:
-            assert (eng / name).read_bytes() == (live / name).read_bytes()
-
-    def test_engine_with_trace_falls_back(self, capsys, tmp_path):
-        """Traced trials fall back to the live simulator whatever the
-        flags say, so the trace is the same with or without --engine."""
-        plain, eng = tmp_path / "plain.json", tmp_path / "eng.json"
-        self._fig3(capsys, ["--trace", str(plain)])
-        res = self._fig3(capsys, ["--engine", "--trace", str(eng)])
-        assert NOOP_NOTICE in res.err
-        assert eng.read_bytes() == plain.read_bytes()
-
-
-class TestVectorKernelFlag:
-    """``--kernel`` is an accepted no-op like ``--engine``: the engine
-    always runs the vector kernel."""
-
-    def _fig3(self, capsys, extra=()):
-        assert main(
-            ["fig3", "--n-objects", "16", "32", "--trials", "3", *extra]
-        ) == 0
-        return capsys.readouterr()
-
-    def test_fig3_vector_matches_plain_stdout(self, capsys):
-        plain = self._fig3(capsys).out
-        vec = self._fig3(capsys, ["--engine", "--kernel", "vector"])
-        assert vec.out == plain
-        assert vec.err.count("\n") == 1 and NOOP_NOTICE in vec.err
-
-    def test_fig3_vector_workers_match_plain_stdout(self, capsys):
-        plain = self._fig3(capsys).out
-        vec = self._fig3(
-            capsys, ["--engine", "--kernel", "vector", "--workers", "2"]
-        )
-        assert vec.out == plain
-
-    @pytest.mark.parametrize("kernel", ["vector", "route"])
-    def test_kernel_alone_is_a_noop(self, capsys, kernel):
-        plain = self._fig3(capsys).out
-        res = self._fig3(capsys, ["--kernel", kernel])
-        assert res.out == plain
-        assert res.err.count("\n") == 1 and NOOP_NOTICE in res.err
-
-    def test_kernel_with_trace_is_a_noop(self, capsys, tmp_path):
-        plain, vec = tmp_path / "plain.json", tmp_path / "vec.json"
-        base = ["faults", "--rates", "0", "--n-objects", "16", "--trials",
-                "1", "--quiet"]
-        assert main([*base, "--trace", str(plain)]) == 0
-        assert main(
-            [*base, "--engine", "--kernel", "vector", "--trace", str(vec)]
-        ) == 0
-        assert NOOP_NOTICE in capsys.readouterr().err
-        assert vec.read_bytes() == plain.read_bytes()
-
-    def test_vector_observe_bundle_matches_live(self, capsys, tmp_path):
-        """The engine's replayed observation bundle is the byte-exact
-        bundle of the live reference sweep."""
-        from repro.csd.simulator import figure3_series
-        from repro.telemetry.exposition import write_observation
-
-        live, vec = tmp_path / "live", tmp_path / "vec"
-        telemetry.enable_observation()
-        figure3_series(
-            localities=[1.0, 0.8, 0.6, 0.4, 0.2, 0.0], n_trials=2,
-            n_objects_list=[16, 64],
-        )
-        write_observation(telemetry.snapshot(), str(live),
-                          title="fig3 observation")
-        telemetry.reset()
-        assert main(
-            ["fig3", "--n-objects", "16", "64", "--trials", "2", "--quiet",
-             "--engine", "--kernel", "vector", "--observe", str(vec)]
-        ) == 0
-        capsys.readouterr()
-        for name in BUNDLE_FILES:
-            assert (vec / name).read_bytes() == (live / name).read_bytes()
-
-    def test_faults_vector_csd_rate_report_matches_plain(
-        self, capsys, tmp_path
-    ):
-        plain, vec = tmp_path / "plain.json", tmp_path / "vec.json"
-        base = [
-            "faults", "--rates", "0", "0.05", "--n-objects", "16",
-            "--trials", "2", "--csd-rate", "0", "--quiet",
-        ]
-        assert main([*base, "--report", str(plain)]) == 0
-        assert main(
-            [*base, "--engine", "--kernel", "vector", "--report", str(vec)]
-        ) == 0
-        capsys.readouterr()
-        assert plain.read_bytes() == vec.read_bytes()
-        assert json.loads(plain.read_text())["csd_rate"] == 0.0
-
-
 class TestSweepPath:
     """Which trials a fig3 run executes live: none untraced (the engine
     resolves and replays them), every one under --trace (spans cannot be
@@ -437,6 +298,29 @@ class TestSweepPath:
         # 2 sizes x 6 localities x 2 trials
         assert len(live_trials) == 24
 
+    def test_observe_bundle_matches_live_reference(self, capsys, tmp_path):
+        """The engine's replayed observation bundle is the byte-exact
+        bundle of the live reference sweep."""
+        from repro.csd.simulator import figure3_series
+        from repro.telemetry.exposition import write_observation
+
+        live, engine = tmp_path / "live", tmp_path / "engine"
+        telemetry.enable_observation()
+        figure3_series(
+            localities=[1.0, 0.8, 0.6, 0.4, 0.2, 0.0], n_trials=2,
+            n_objects_list=[16, 64],
+        )
+        write_observation(telemetry.snapshot(), str(live),
+                          title="fig3 observation")
+        telemetry.reset()
+        assert main(
+            ["fig3", "--n-objects", "16", "64", "--trials", "2", "--quiet",
+             "--observe", str(engine)]
+        ) == 0
+        capsys.readouterr()
+        for name in BUNDLE_FILES:
+            assert (engine / name).read_bytes() == (live / name).read_bytes()
+
 
 class TestSweepInputErrors:
     """Bad numbers on a fig3/faults command line are one stderr line and
@@ -470,6 +354,14 @@ class TestSweepInputErrors:
             [command, "--n-objects", "16", "--trials", "1", "--workers", "-3"],
             f"{command}: --workers must be at least 1, got -3",
         )
+
+    @pytest.mark.parametrize("command", ["fig3", "faults"])
+    @pytest.mark.parametrize("flag", [["--engine"], ["--kernel", "vector"]])
+    def test_removed_engine_flags_are_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n-objects", "16", "--trials", "1", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--rate", "--rates", "--csd-rate"])
     @pytest.mark.parametrize("rate", ["1.5", "-0.1", "nan"])
