@@ -32,6 +32,7 @@ from repro.errors import (
     AdmissionError,
     QuotaError,
     ProtocolError,
+    OwnershipError,
 )
 
 __all__ = [
@@ -52,4 +53,5 @@ __all__ = [
     "AdmissionError",
     "QuotaError",
     "ProtocolError",
+    "OwnershipError",
 ]

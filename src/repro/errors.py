@@ -27,6 +27,7 @@ __all__ = [
     "AdmissionError",
     "QuotaError",
     "ProtocolError",
+    "OwnershipError",
 ]
 
 
@@ -134,3 +135,8 @@ class QuotaError(ServiceError):
 class ProtocolError(ServiceError):
     """A service request frame is malformed: bad length prefix, invalid
     JSON, or a message missing the required envelope fields."""
+
+
+class OwnershipError(ServiceError):
+    """A request named a tenant admitted on another live connection: a
+    tenant answers only to the connection whose ``hello`` admitted it."""

@@ -12,10 +12,18 @@ corrupted.
 One injector is wired into every hook of one simulated chip (the CSD
 networks, the router network, the wormhole configurator), so a single
 fault ledger spans all layers — exactly how one physical defect would.
+
+The CSD channel filter is the hot hook: every chaining request asks it
+about every segment of every candidate channel.  The injector therefore
+keeps, per ``(domain, channel)``, a lazily grown index of the channel's
+faulty segments (drawn faulty or quarantined), and a query only visits
+those — in ascending segment order, so triggers, healing and telemetry
+happen exactly as a walk over every segment of the span would make them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Tuple
 
 from repro import telemetry
@@ -27,12 +35,26 @@ from repro.faults.model import (
     csd_segment_site,
     junction_site,
     noc_link_site,
+    parse_csd_segment_site,
     worm_flit_site,
 )
 
 __all__ = ["FaultInjector"]
 
 Coord = Tuple[int, int]
+
+
+class _SegmentIndex:
+    """The faulty segments of one CSD channel among ``[0, known)``."""
+
+    __slots__ = ("known", "faulty", "sites")
+
+    def __init__(self) -> None:
+        self.known = 0
+        #: ascending segment numbers that drew a fault or are quarantined
+        self.faulty: List[int] = []
+        #: ``faulty[i]``'s site key
+        self.sites: List[str] = []
 
 
 class FaultInjector:
@@ -42,6 +64,13 @@ class FaultInjector:
     starts with one ``fault_free`` check and returns immediately, so a
     rate-0 plan (or simply not attaching an injector) leaves the
     simulators byte-identical to an uninstrumented run.
+
+    Draws come from the plan's memo, so each site is derived once.  The
+    CSD channel filter additionally reads a per-``(domain, channel)``
+    index of faulty segments, extended lazily up to the highest segment
+    asked about; :meth:`quarantine` of a CSD segment site folds the site
+    into the same index, so there is one code path for both sources of
+    faultiness.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -52,6 +81,8 @@ class FaultInjector:
         self._healed: set = set()
         #: sites quarantined by the degradation layer (always faulty)
         self._quarantined: set = set()
+        #: (domain, channel) -> that channel's faulty-segment index
+        self._csd_index: Dict[Tuple[str, int], _SegmentIndex] = {}
 
     # -- core trigger logic ------------------------------------------------
 
@@ -119,20 +150,53 @@ class FaultInjector:
         extended defect injector routes around it)."""
         self._quarantined.add(site)
         telemetry.counter("faults.quarantined").inc()
+        # a CSD segment site joins its channel's index if the index
+        # already covers it; a later extension picks it up otherwise
+        parsed = parse_csd_segment_site(site)
+        if parsed is None:
+            return
+        domain, channel, segment = parsed
+        index = self._csd_index.get((domain, channel))
+        if index is None or segment >= index.known:
+            return
+        position = bisect_left(index.faulty, segment)
+        if position == len(index.faulty) or index.faulty[position] != segment:
+            index.faulty.insert(position, segment)
+            index.sites.insert(position, site)
 
     # -- per-layer queries (the hook API) ----------------------------------
+
+    def _segment_index(self, domain: str, channel: int, hi: int) -> _SegmentIndex:
+        """``(domain, channel)``'s index, extended to cover ``[0, hi)``."""
+        index = self._csd_index.get((domain, channel))
+        if index is None:
+            index = self._csd_index[(domain, channel)] = _SegmentIndex()
+        if hi > index.known:
+            kind = FaultKind.CSD_SEGMENT
+            for segment in range(index.known, hi):
+                site = csd_segment_site(domain, channel, segment)
+                if (
+                    site in self._quarantined
+                    or self.plan.draw(kind, site) is not None
+                ):
+                    index.faulty.append(segment)
+                    index.sites.append(site)
+            index.known = hi
+        return index
 
     def csd_channel_blocked(
         self, channel: int, lo: int, hi: int, domain: str = "csd"
     ) -> bool:
         """Whether any segment of ``channel`` in ``[lo, hi)`` faults when
         the request broadcast crosses it.  Every faulty segment in the
-        span is triggered (the request exercised them all)."""
+        span is triggered (the request exercised them all), in ascending
+        segment order; healthy segments have nothing to trigger and are
+        never visited."""
+        index = self._segment_index(domain, channel, hi)
+        faulty = index.faulty
         blocked = False
-        for segment in range(lo, hi):
-            if self._active(
-                FaultKind.CSD_SEGMENT, csd_segment_site(domain, channel, segment)
-            ):
+        for i in range(bisect_left(faulty, lo), bisect_left(faulty, hi)):
+            if self._active(FaultKind.CSD_SEGMENT, index.sites[i]):
                 blocked = True
         return blocked
 

@@ -33,6 +33,9 @@ RNG derived from ``(seed, crc32(site))`` — so whether a site is faulty
 never depends on query order, process boundaries, or how many other
 sites were examined first.  That property is what makes the Monte-Carlo
 campaign bit-identical between ``--workers 1`` and ``--workers N``.
+Because a draw is pure, the plan memoizes it: each ``(kind, site)`` is
+derived once per plan, and the plan is read-only so the memo can never
+go stale.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +53,7 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "csd_segment_site",
+    "parse_csd_segment_site",
     "junction_site",
     "chain_switch_site",
     "noc_link_site",
@@ -97,6 +102,10 @@ class Fault:
 class FaultPlan:
     """Seeded, order-independent assignment of faults to sites.
 
+    A plan is read-only once built (assigning any attribute raises
+    :class:`AttributeError`, and ``rates`` is a read-only mapping), so
+    the draws it has memoized always agree with its settings.
+
     Parameters
     ----------
     seed:
@@ -112,6 +121,13 @@ class FaultPlan:
         Upper bound on a transient fault's trigger count before healing
         (the actual duration is drawn uniformly from ``1..transient_hits``).
     """
+
+    seed: int
+    default_rate: float
+    rates: Mapping[FaultKind, float]
+    transient_fraction: float
+    transient_hits: int
+    fault_free: bool
 
     def __init__(
         self,
@@ -131,13 +147,35 @@ class FaultPlan:
         for kind, rate in rates.items():
             if rate < 0 or rate > 1:
                 raise ValueError(f"rate for {kind} must be in [0, 1]")
-        self.seed = int(seed)
-        self.default_rate = float(default_rate)
-        self.rates: Dict[FaultKind, float] = {
-            FaultKind(k): float(v) for k, v in rates.items()
-        }
-        self.transient_fraction = float(transient_fraction)
-        self.transient_hits = int(transient_hits)
+        kind_rates = {FaultKind(k): float(v) for k, v in rates.items()}
+        init = object.__setattr__  # the only writes a plan ever takes
+        init(self, "seed", int(seed))
+        init(self, "default_rate", float(default_rate))
+        init(self, "rates", MappingProxyType(kind_rates))
+        init(self, "transient_fraction", float(transient_fraction))
+        init(self, "transient_hits", int(transient_hits))
+        init(self, "fault_free", self.default_rate == 0.0 and all(
+            r == 0.0 for r in kind_rates.values()
+        ))
+        #: (kind, site) -> the draw, filled on the first query of the site
+        init(self, "_draws", {})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"FaultPlan is read-only (cannot set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"FaultPlan is read-only (cannot delete {name!r})")
+
+    def __reduce__(self):
+        # rebuild from the settings: the memo is a cache, and the
+        # read-only rates mapping does not pickle
+        return (
+            FaultPlan,
+            (
+                self.seed, dict(self.rates), self.default_rate,
+                self.transient_fraction, self.transient_hits,
+            ),
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -155,12 +193,6 @@ class FaultPlan:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def fault_free(self) -> bool:
-        return self.default_rate == 0.0 and all(
-            r == 0.0 for r in self.rates.values()
-        )
-
     def rate_for(self, kind: FaultKind) -> float:
         return self.rates.get(kind, self.default_rate)
 
@@ -168,12 +200,23 @@ class FaultPlan:
         """The fault at ``site`` (or None) — pure in ``(seed, kind, site)``.
 
         The same plan asked about the same site always answers the same,
-        in any process, in any order, because the site RNG is re-derived
-        from scratch on every call.
+        in any process, in any order: the answer depends on nothing but
+        the seed, the kind's rate and the site key.  That purity is the
+        contract; the mechanism is a per-plan memo, so each site's RNG is
+        derived at most once however often the site is asked about.
         """
         rate = self.rate_for(kind)
         if rate == 0.0:
             return None
+        key = (kind, site)
+        try:
+            return self._draws[key]
+        except KeyError:
+            fault = self._draws[key] = self._derive(kind, site, rate)
+            return fault
+
+    def _derive(self, kind: FaultKind, site: str, rate: float) -> Optional[Fault]:
+        """Derive the site RNG and draw from it (uncached)."""
         rng = np.random.default_rng(
             (self.seed, zlib.crc32(f"{kind.value}:{site}".encode("utf-8")))
         )
@@ -213,7 +256,7 @@ class FaultPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FaultPlan(seed={self.seed}, default_rate={self.default_rate}, "
-            f"rates={self.rates!r})"
+            f"rates={dict(self.rates)!r})"
         )
 
 
@@ -223,6 +266,18 @@ class FaultPlan:
 def csd_segment_site(domain: str, channel: int, segment: int) -> str:
     """A single-hop segment of one channel in one CSD fault domain."""
     return f"{domain}/ch{channel}/seg{segment}"
+
+
+def parse_csd_segment_site(site: str) -> Optional[Tuple[str, int, int]]:
+    """``(domain, channel, segment)`` if ``site`` is a CSD segment site
+    key (the inverse of :func:`csd_segment_site`), else None."""
+    domain, _, rest = site.rpartition("/ch")
+    channel, _, segment = rest.partition("/seg")
+    try:
+        key = (domain, int(channel), int(segment))
+    except ValueError:
+        return None
+    return key if csd_segment_site(*key) == site else None
 
 
 def junction_site(index: int) -> str:

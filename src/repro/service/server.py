@@ -24,10 +24,10 @@ argument: the report is a function of (seed, config), not of scheduling.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro import telemetry
-from repro.errors import ProtocolError, ReproError
+from repro.errors import OwnershipError, ProtocolError, ReproError
 from repro.telemetry.observe import Sampler, point_label
 from repro.service.fabric import ResidentFabric, Tenant
 from repro.service.protocol import (
@@ -61,7 +61,11 @@ class FabricService:
 
     # -- request handling --------------------------------------------------
 
-    def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def handle(
+        self,
+        request: Dict[str, Any],
+        owns: Optional[Callable[[str], bool]] = None,
+    ) -> Dict[str, Any]:
         """Execute one request, returning its response envelope.
 
         Domain failures (admission, quota, region, state, fault-aborted
@@ -69,9 +73,16 @@ class FabricService:
         become ``ok: false`` responses with a one-cycle cost; they never
         tear the connection down.  Non-domain exceptions propagate —
         those are bugs, not rejections.
+
+        ``owns`` is the caller's ownership check (the TCP front end
+        passes one per connection): a tenant-scoped request naming an
+        admitted tenant the caller does not own is rejected with
+        :class:`~repro.errors.OwnershipError`, like a request for a
+        tenant that was never admitted — one admission cycle, no tenant
+        clock touched.
         """
         with telemetry.profile_stage("service.handle"):
-            response = self._handle(request)
+            response = self._handle(request, owns)
         self.handled += 1
         telemetry.counter("service.requests").inc()
         if response["ok"]:
@@ -147,7 +158,11 @@ class FabricService:
             )
             root.end(cycle=completion, status="rejected")
 
-    def _handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle(
+        self,
+        request: Dict[str, Any],
+        owns: Optional[Callable[[str], bool]],
+    ) -> Dict[str, Any]:
         try:
             validate_request(request)
         except ProtocolError as exc:
@@ -182,6 +197,18 @@ class FabricService:
                 start=issue,
                 cost=REJECT_COST,
                 error=ProtocolError(f"tenant {name!r} not admitted (hello first)"),
+            )
+        if owns is not None and not owns(name):
+            return self._envelope(
+                op=op,
+                tenant=name,
+                seq=seq,
+                issue=issue,
+                start=issue,
+                cost=REJECT_COST,
+                error=OwnershipError(
+                    f"tenant {name!r} belongs to another connection"
+                ),
             )
         tenant.requests += 1
         owned_before = self.fabric.owned_clusters(name)
@@ -437,11 +464,13 @@ class FabricServer:
     """Asyncio TCP front end for a :class:`FabricService`.
 
     One connection may carry requests for many tenants (the load
-    generator multiplexes).  Tenants admitted by a ``hello`` on a
-    connection are tracked; if the connection dies before their
-    ``bye``, they are evicted — processors destroyed, shard freed — so a
-    crashed client cannot leak die area.  A connection that merely
-    names another connection's tenant never evicts it.
+    generator multiplexes).  A tenant belongs to the connection whose
+    ``hello`` admitted it: requests naming it from any other connection
+    are rejected with :class:`~repro.errors.OwnershipError` (counted
+    under ``service.rejections``) and never reach the fabric.  If the
+    owning connection dies before the tenant's ``bye``, the tenant is
+    evicted — processors destroyed, shard freed — so a crashed client
+    cannot leak die area.
     """
 
     def __init__(
@@ -454,6 +483,8 @@ class FabricServer:
         self.host = host
         self._requested_port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: tenant name -> the session ledger of the connection that owns it
+        self._owners: Dict[str, Dict[str, Tenant]] = {}
 
     @property
     def port(self) -> int:
@@ -486,6 +517,17 @@ class FabricServer:
         # by name -> the admitted Tenant, so a name re-admitted by
         # someone else after our ``bye`` is never evicted on our hang-up
         session_tenants: Dict[str, Tenant] = {}
+
+        def owns(name: str) -> bool:
+            # a ledger entry whose tenant is no longer the admitted one
+            # is stale: nobody owns the name any more
+            owner = self._owners.get(name)
+            return (
+                owner is None
+                or owner is session_tenants
+                or owner.get(name) is not self.service.fabric.tenants.get(name)
+            )
+
         try:
             while True:
                 try:
@@ -505,18 +547,22 @@ class FabricServer:
                     break
                 if request is None:
                     break
-                response = self.service.handle(request)
+                response = self.service.handle(request, owns)
                 tenant = request.get("tenant")
                 if request.get("op") == "hello" and response["ok"]:
                     session_tenants[tenant] = self.service.fabric.tenants[tenant]
-                elif request.get("op") == "bye":
+                    self._owners[tenant] = session_tenants
+                elif request.get("op") == "bye" and response["ok"]:
                     session_tenants.pop(tenant, None)
+                    self._owners.pop(tenant, None)
                 await write_frame(writer, response)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             tenants = self.service.fabric.tenants
             for name, tenant in sorted(session_tenants.items()):
+                if self._owners.get(name) is session_tenants:
+                    del self._owners[name]
                 if tenants.get(name) is tenant:
                     self.service.disconnect(name)
             writer.close()

@@ -1,5 +1,7 @@
 """Unit tests for the fault universe (FaultPlan / Fault / site keys)."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.faults.model import (
     csd_segment_site,
     junction_site,
     noc_link_site,
+    parse_csd_segment_site,
     worm_flit_site,
 )
 
@@ -105,12 +108,84 @@ class TestRoundTrip:
         )
 
 
+class TestReadOnlyPlan:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 1),
+            ("default_rate", 0.5),
+            ("rates", {}),
+            ("transient_fraction", 0.1),
+            ("transient_hits", 5),
+            ("fault_free", True),
+        ],
+    )
+    def test_assignment_after_construction_raises(self, field, value):
+        plan = FaultPlan(seed=9, default_rate=0.2)
+        before = plan.as_dict()
+        with pytest.raises(AttributeError):
+            setattr(plan, field, value)
+        with pytest.raises(AttributeError):
+            delattr(plan, field)
+        assert plan.as_dict() == before
+
+    def test_rates_mapping_is_read_only(self):
+        plan = FaultPlan(seed=9, rates={FaultKind.SWITCH: 0.2})
+        with pytest.raises(TypeError):
+            plan.rates[FaultKind.SWITCH] = 0.9  # type: ignore[index]
+        with pytest.raises(TypeError):
+            plan.rates[FaultKind.NOC_LINK] = 0.9  # type: ignore[index]
+        assert plan.rate_for(FaultKind.SWITCH) == 0.2
+        assert plan.rate_for(FaultKind.NOC_LINK) == 0.0
+
+    def test_caller_dict_does_not_alias_rates(self):
+        rates = {FaultKind.SWITCH: 0.2}
+        plan = FaultPlan(seed=9, rates=rates)
+        rates[FaultKind.SWITCH] = 1.0
+        assert plan.rate_for(FaultKind.SWITCH) == 0.2
+
+    def test_fault_free_fixed_at_construction(self):
+        assert FaultPlan(rates={FaultKind.SWITCH: 0.0}).fault_free
+        assert not FaultPlan(rates={FaultKind.SWITCH: 0.1}).fault_free
+
+    def test_round_trip_and_pickle_keep_settings(self):
+        plan = FaultPlan(
+            seed=4, rates={FaultKind.CSD_SEGMENT: 0.3}, default_rate=0.1,
+            transient_fraction=0.25, transient_hits=4,
+        )
+        site = csd_segment_site("csd", 1, 2)
+        plan.draw(FaultKind.CSD_SEGMENT, site)  # memo is never carried over
+        for clone in (FaultPlan.from_dict(plan.as_dict()),
+                      pickle.loads(pickle.dumps(plan))):
+            assert clone.as_dict() == plan.as_dict()
+            assert clone.draw(FaultKind.CSD_SEGMENT, site) == plan.draw(
+                FaultKind.CSD_SEGMENT, site
+            )
+            with pytest.raises(AttributeError):
+                clone.seed = 5
+
+
 class TestSiteKeys:
     def test_chain_switch_site_is_undirected(self):
         assert chain_switch_site((1, 2), (1, 3)) == chain_switch_site((1, 3), (1, 2))
 
     def test_noc_link_site_is_directed(self):
         assert noc_link_site((0, 0), (0, 1)) != noc_link_site((0, 1), (0, 0))
+
+    @pytest.mark.parametrize(
+        "domain", ["csd", "seg0", "a/ch1/seg2", "x/chan", ""]
+    )
+    def test_csd_segment_site_parses_back(self, domain):
+        site = csd_segment_site(domain, 12, 3)
+        assert parse_csd_segment_site(site) == (domain, 12, 3)
+
+    @pytest.mark.parametrize(
+        "site",
+        ["junction/1", "chainsw/0,0-0,1", "csd/ch1", "csd/chx/seg1",
+         "csd/ch01/seg1", "csd/ch1/seg 1", "csd/ch1/seg+1"],
+    )
+    def test_other_sites_do_not_parse(self, site):
+        assert parse_csd_segment_site(site) is None
 
     def test_sites_are_distinct_across_kinds(self):
         keys = {

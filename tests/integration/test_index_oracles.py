@@ -4,13 +4,23 @@ The scans below are the pre-index implementations (whole-die sweeps);
 they live only here, as oracles.
 """
 
+import zlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.allocation import ClusterAllocator
 from repro.errors import ReproError, TopologyError
 from repro.faults import FaultInjector, FaultPlan
+from repro.faults.model import (
+    Fault,
+    FaultKind,
+    csd_segment_site,
+    junction_site,
+)
 from repro.noc.flit import make_packet
 from repro.noc.network import RouterNetwork
 from repro.service.fabric import ResidentFabric
@@ -299,3 +309,198 @@ class TestTenantProcessorIndex:
         assert fabric._tenant_processors("a") == set()
         assert fabric._tenant_processors("ab") == {"ab/p"}
         assert set(fabric.vlsi.processors) == {"ab/p"}
+
+
+# -- faults: the per-plan draw memo --------------------------------------------
+
+
+def fresh_draw(plan, kind, site):
+    """The uncached derivation ``FaultPlan.draw`` made on every call."""
+    rate = plan.rate_for(kind)
+    if rate == 0.0:
+        return None
+    rng = np.random.default_rng(
+        (plan.seed, zlib.crc32(f"{kind.value}:{site}".encode("utf-8")))
+    )
+    if rng.random() >= rate:
+        return None
+    transient = bool(rng.random() < plan.transient_fraction)
+    duration = int(rng.integers(1, plan.transient_hits + 1)) if transient else 1
+    return Fault(kind, site, transient, duration)
+
+
+fault_rates = st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0])
+
+
+@st.composite
+def fault_plans(draw):
+    rates = draw(st.dictionaries(st.sampled_from(list(FaultKind)), fault_rates))
+    return FaultPlan(
+        seed=draw(st.integers(0, 2**31)),
+        rates=rates,
+        default_rate=draw(fault_rates),
+        transient_fraction=draw(st.sampled_from([0.0, 0.5, 0.75, 1.0])),
+        transient_hits=draw(st.integers(1, 4)),
+    )
+
+
+# a few site strings, each asked about under every kind
+SITES = [csd_segment_site("csd", 0, 0), csd_segment_site("seg1", 2, 5),
+         junction_site(1), "link/0,0->0,1", "shared"]
+
+
+class TestDrawMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        plan=fault_plans(),
+        queries=st.lists(
+            st.tuples(st.sampled_from(list(FaultKind)),
+                      st.sampled_from(SITES)),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_memoized_draw_matches_fresh_derivation(self, plan, queries):
+        for kind, site in queries:
+            assert plan.draw(kind, site) == fresh_draw(plan, kind, site)
+
+
+# -- faults: the faulty-segment index of the CSD channel filter ----------------
+
+
+class UncachedPlan:
+    """A plan whose every draw is derived afresh (no memo)."""
+
+    def __init__(self, plan):
+        self._plan = plan
+        self.fault_free = plan.fault_free
+
+    def rate_for(self, kind):
+        return self._plan.rate_for(kind)
+
+    def draw(self, kind, site):
+        return fresh_draw(self._plan, kind, site)
+
+
+class WalkInjector(FaultInjector):
+    """The full-segment walk ``csd_channel_blocked`` used to run."""
+
+    def csd_channel_blocked(self, channel, lo, hi, domain="csd"):
+        blocked = False
+        for segment in range(lo, hi):
+            if self._active(
+                FaultKind.CSD_SEGMENT, csd_segment_site(domain, channel, segment)
+            ):
+                blocked = True
+        return blocked
+
+
+DOMAINS = ["csd", "seg1"]
+N_CHANNELS = 4
+N_SEGMENTS = 16
+
+csd_spans = st.integers(0, N_SEGMENTS - 1).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, N_SEGMENTS))
+)
+
+csd_queries = st.lists(
+    st.one_of(
+        st.tuples(st.just("filter"), st.sampled_from(DOMAINS),
+                  st.lists(st.integers(0, N_CHANNELS - 1), max_size=N_CHANNELS),
+                  csd_spans),
+        st.tuples(st.just("blocked"), st.sampled_from(DOMAINS),
+                  st.integers(0, N_CHANNELS - 1), csd_spans),
+        st.tuples(st.just("quarantine"), st.sampled_from(DOMAINS),
+                  st.integers(0, N_CHANNELS - 1),
+                  st.integers(0, N_SEGMENTS - 1)),
+        st.tuples(st.just("quarantine_other"), st.integers(0, 3)),
+    ),
+    min_size=8,
+    max_size=60,
+)
+
+
+def run_csd_queries(injector, queries):
+    """Drive ``injector`` through ``queries``; return every answer plus
+    the ledger, the ``faults.*`` counters and the fault instants."""
+    telemetry.reset()
+    telemetry.enable_tracing(True)
+    try:
+        answers = []
+        for query in queries:
+            op = query[0]
+            if op == "filter":
+                _, domain, channels, (lo, hi) = query
+                answers.append(
+                    injector.filter_csd_channels(channels, lo, hi, domain=domain)
+                )
+            elif op == "blocked":
+                _, domain, channel, (lo, hi) = query
+                answers.append(
+                    injector.csd_channel_blocked(channel, lo, hi, domain=domain)
+                )
+            elif op == "quarantine":
+                _, domain, channel, segment = query
+                injector.quarantine(csd_segment_site(domain, channel, segment))
+            else:
+                injector.quarantine(junction_site(query[1]))
+        counters = {
+            name: value
+            for name, value in telemetry.snapshot()["counters"].items()
+            if name.startswith("faults.")
+        }
+        instants = [(s.name, s.attrs) for s in telemetry.tracer().spans]
+    finally:
+        telemetry.reset()
+    return (
+        answers,
+        injector.triggered_sites,
+        injector.healed_sites,
+        injector.total_triggers(),
+        counters,
+        instants,
+    )
+
+
+def assert_index_matches_walk(plan, queries):
+    reference = run_csd_queries(WalkInjector(UncachedPlan(plan)), queries)
+    indexed = run_csd_queries(FaultInjector(plan), queries)
+    assert indexed == reference
+
+
+class TestFaultySegmentIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(plan=fault_plans(), queries=csd_queries)
+    def test_index_matches_full_walk(self, plan, queries):
+        assert_index_matches_walk(plan, queries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), queries=csd_queries)
+    def test_csd_rate_zero_with_quarantine(self, seed, queries):
+        plan = FaultPlan(seed=seed, default_rate=0.3,
+                         rates={FaultKind.CSD_SEGMENT: 0.0})
+        queries = [("quarantine", "csd", 1, 3)] + queries
+        assert_index_matches_walk(plan, queries)
+
+    def test_transient_faults_heal_in_walk_order(self):
+        plan = FaultPlan.uniform(11, 0.6, transient_fraction=1.0,
+                                 transient_hits=2)
+        queries = [("blocked", "csd", 0, (0, 4)), ("blocked", "csd", 0, (0, 12))]
+        queries += [("filter", "csd", [0, 1, 2], (2, 18))] * 4
+        queries += [("quarantine", "csd", 1, 5), ("quarantine", "csd", 0, 19)]
+        queries += [("filter", "csd", [0, 1, 2], (0, N_SEGMENTS))] * 2
+        reference = run_csd_queries(WalkInjector(UncachedPlan(plan)), queries)
+        assert reference[2], "the sequence must heal some transient fault"
+        assert run_csd_queries(FaultInjector(plan), queries) == reference
+
+    def test_quarantine_inside_and_beyond_the_indexed_range(self):
+        plan = FaultPlan.none()
+        injector = FaultInjector(plan)
+        assert not injector.csd_channel_blocked(0, 0, 4)
+        injector.quarantine(csd_segment_site("csd", 0, 2))   # indexed
+        injector.quarantine(csd_segment_site("csd", 0, 9))   # not yet
+        injector.quarantine(csd_segment_site("csd", 1, 2))   # other channel
+        assert injector.csd_channel_blocked(0, 2, 3)
+        assert not injector.csd_channel_blocked(0, 3, 9)
+        assert injector.csd_channel_blocked(0, 9, 10)
+        assert injector.filter_csd_channels([0, 1, 2], 0, 3) == [2]
+        assert injector.filter_csd_channels([0, 1], 0, 3, domain="seg0") == [0, 1]

@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro import telemetry
 from repro.service.fabric import ResidentFabric
 from repro.service.protocol import make_request
 from repro.service.server import (
@@ -234,7 +235,7 @@ class TestTCP:
                 assert hello["ok"] and create["ok"]
                 stranger = await TCPClient.connect(server.host, server.port)
                 stats = await stranger.request(make_request("stats", "t0", 2, 20))
-                assert stats["ok"]
+                assert stats["error"]["kind"] == "OwnershipError"
                 await stranger.close()
                 await asyncio.wait_for(closed.get(), timeout=5)
                 assert "t0" in svc.fabric.tenants
@@ -247,36 +248,105 @@ class TestTCP:
         assert svc.fabric.tenants == {}
 
     def test_hangup_spares_tenant_readmitted_elsewhere(self):
-        """After another connection's ``bye`` evicts a tenant and a third
-        re-admits the name, the first connection's hang-up leaves the
-        new tenant alone."""
+        """After the owner's own ``bye`` frees a tenant name and another
+        connection re-admits it, the first connection's hang-up leaves
+        the new tenant alone."""
         svc = service()
 
         async def go():
             server = FabricServer(svc)
             closed = self._closed_connections(server)
             async with server:
-                clients = [
-                    await TCPClient.connect(server.host, server.port)
-                    for _ in range(3)
-                ]
-                first, second, third = clients
+                first = await TCPClient.connect(server.host, server.port)
+                second = await TCPClient.connect(server.host, server.port)
                 await first.request(
                     make_request("hello", "t0", 0, 0, clusters=4, slot=0)
                 )
-                bye = await second.request(make_request("bye", "t0", 1, 10))
-                hello = await third.request(
+                bye = await first.request(make_request("bye", "t0", 1, 10))
+                hello = await second.request(
                     make_request("hello", "t0", 0, 20, clusters=4, slot=4)
                 )
                 assert bye["ok"] and hello["ok"]
                 await first.close()
                 await asyncio.wait_for(closed.get(), timeout=5)
                 assert svc.fabric.tenants["t0"].shard[0] == (1, 3)
-                for client in (second, third):
-                    await client.close()
-                    await asyncio.wait_for(closed.get(), timeout=5)
+                # the name's new owner is the second connection alone
+                create = await second.request(
+                    make_request(
+                        "create", "t0", 1, 30, processor="p0", clusters=2
+                    )
+                )
+                assert create["ok"]
+                await second.close()
+                await asyncio.wait_for(closed.get(), timeout=5)
 
         asyncio.run(go())
+        assert svc.fabric.tenants == {}
+
+    def test_foreign_connection_cannot_touch_tenant(self):
+        """Every tenant-scoped op naming another live connection's
+        tenant is rejected with OwnershipError and changes nothing; the
+        owner (multiplexing two tenants on one connection) is unharmed."""
+        svc = service()
+
+        async def go():
+            server = FabricServer(svc)
+            closed = self._closed_connections(server)
+            async with server:
+                owner = await TCPClient.connect(server.host, server.port)
+                attacker = await TCPClient.connect(server.host, server.port)
+                for name, slot in (("t0", 0), ("t1", 4)):
+                    hello = await owner.request(
+                        make_request("hello", name, 0, 0, clusters=4, slot=slot)
+                    )
+                    assert hello["ok"]
+                create = await owner.request(
+                    make_request(
+                        "create", "t0", 1, 10, processor="p0", clusters=2
+                    )
+                )
+                assert create["ok"]
+                clock = svc.fabric.tenants["t0"].clock
+                attacks = [
+                    make_request("create", "t0", 9, 20, processor="px",
+                                 clusters=1),
+                    make_request("scale_up", "t0", 9, 20, processor="p0",
+                                 extra=1),
+                    make_request("scale_down", "t0", 9, 20, processor="p0",
+                                 drop=1),
+                    make_request("send", "t0", 9, 20, src="p0", dst="p0",
+                                 key="k", value=1),
+                    make_request("stats", "t0", 9, 20),
+                    make_request("destroy", "t0", 9, 20, processor="p0"),
+                    make_request("bye", "t0", 9, 20),
+                    make_request("bye", "t1", 9, 20),
+                ]
+                for attack in attacks:
+                    response = await attacker.request(attack)
+                    assert not response["ok"]
+                    assert response["error"]["kind"] == "OwnershipError"
+                    assert response["latency_cycles"] == 1
+                assert set(svc.fabric.tenants) == {"t0", "t1"}
+                assert set(svc.fabric.vlsi.processors) == {"t0/p0"}
+                assert len(svc.fabric.vlsi.processor("t0/p0").region) == 2
+                assert svc.fabric.tenants["t0"].clock == clock
+                assert svc.fabric.tenants["t0"].rejections == 0
+                # the owner still drives both of its tenants
+                scale = await owner.request(
+                    make_request("scale_up", "t0", 2, 30, processor="p0",
+                                 extra=1)
+                )
+                bye = await owner.request(make_request("bye", "t1", 1, 40))
+                assert scale["ok"] and bye["ok"]
+                await attacker.close()
+                await asyncio.wait_for(closed.get(), timeout=5)
+                assert set(svc.fabric.tenants) == {"t0"}
+                await owner.close()
+                await asyncio.wait_for(closed.get(), timeout=5)
+
+        before = telemetry.counter("service.rejections").value
+        asyncio.run(go())
+        assert telemetry.counter("service.rejections").value - before == 8
         assert svc.fabric.tenants == {}
 
     def test_transport_equivalence(self):
