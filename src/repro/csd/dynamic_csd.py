@@ -255,19 +255,6 @@ class DynamicCSDNetwork:
         used = [ch.index for ch in self.pool if not ch.is_idle]
         return max(used) + 1 if used else 0
 
-    def occupancy_state(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Canonical immutable pool occupancy: one tuple per channel of
-        its occupied ``(lo, hi)`` spans, sorted.
-
-        Exposed so tests can cross-check the vector kernel
-        (:mod:`repro.megascale.kernel`) against the live protocol step
-        by step.
-        """
-        return tuple(
-            tuple(sorted((s.lo, s.hi) for s in ch.spans()))
-            for ch in self.pool
-        )
-
     # -- observation probes ------------------------------------------------
 
     def segment_demand(self) -> List[int]:

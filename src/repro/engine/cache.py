@@ -3,13 +3,13 @@
 The engine's trial cache needs a dict with an eviction policy and
 enough bookkeeping to report a hit rate.  ``functools.lru_cache`` wraps
 functions, not keys the caller constructs, and carries no eviction
-counter — so the engine owns this ~60-line cache instead.
+counter — so the engine owns this small cache instead.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable
 
 __all__ = ["LRUCache", "MISSING"]
 
@@ -18,15 +18,14 @@ __all__ = ["LRUCache", "MISSING"]
 #: other falsy result) is distinguishable from a genuine miss.
 MISSING = object()
 
-_MISSING = MISSING
-
 
 class LRUCache:
     """Bounded mapping with least-recently-used eviction.
 
-    ``get`` refreshes recency; ``put`` inserts (or refreshes) and evicts
-    the stalest entry once ``capacity`` is exceeded.  ``hits`` /
-    ``misses`` / ``evictions`` make cache effectiveness observable.
+    ``get_or_miss`` refreshes recency; ``put`` inserts (or refreshes)
+    and evicts the stalest entry once ``capacity`` is exceeded.
+    ``hits`` / ``misses`` / ``evictions`` make cache effectiveness
+    observable.
     """
 
     __slots__ = ("capacity", "hits", "misses", "evictions", "_data")
@@ -40,21 +39,10 @@ class LRUCache:
         self.evictions = 0
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        value = self._data.get(key, _MISSING)
-        if value is _MISSING:
-            self.misses += 1
-            return default
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
     def get_or_miss(self, key: Hashable) -> Any:
-        """Like :meth:`get`, but a miss returns the :data:`MISSING`
-        sentinel instead of ``None`` — callers that may legitimately
-        cache falsy values (``None``, ``0``, ``()``) must use this, or
-        every such entry is recomputed (and miscounted as a miss)
-        forever."""
+        """The cached value (refreshing its recency), or the
+        :data:`MISSING` sentinel on a miss — so a cached falsy value
+        (``None``, ``0``, ``()``) still counts as a hit."""
         value = self._data.get(key, MISSING)
         if value is MISSING:
             self.misses += 1
@@ -74,15 +62,6 @@ class LRUCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key: Hashable) -> bool:
-        # membership test, deliberately without touching recency or stats
-        return key in self._data
-
-    def clear(self) -> None:
-        """Drop every entry; the hit/miss tallies survive (they describe
-        lifetime effectiveness, not current contents)."""
-        self._data.clear()
-
     def stats(self) -> Dict[str, int]:
         return {
             "size": len(self._data),
@@ -91,9 +70,3 @@ class LRUCache:
             "misses": self.misses,
             "evictions": self.evictions,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LRUCache(size={len(self._data)}/{self.capacity}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )

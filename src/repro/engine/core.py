@@ -5,7 +5,7 @@ A Figure 3 (or rate-0 fault-campaign) trial is a pure function of
 every request from a seeded RNG and the grant protocol is deterministic.
 The engine exploits that twice:
 
-* the **cold path** resolves a trial's grants on the numpy span-array
+* the **cold path** resolves a trial's grants on the bitmask first-fit
   kernel (:class:`repro.megascale.kernel.VectorCSDKernel`) instead of
   scanning live channel objects, at a per-trial cost that stays flat as
   ``n_objects`` grows into the thousands;
@@ -41,7 +41,7 @@ observation documents, cached speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +49,11 @@ from repro import telemetry
 from repro.csd.locality import LocalityWorkload
 from repro.csd.simulator import CSDSimulator, SimulationResult
 from repro.engine.cache import LRUCache, MISSING
-from repro.megascale.kernel import VectorCSDKernel, VectorSampler
+from repro.megascale.kernel import (
+    VectorCSDKernel,
+    VectorSampler,
+    attempt_spans,
+)
 from repro.telemetry.observe import point_label
 
 __all__ = ["SweepEngine", "TrialEntry"]
@@ -101,17 +105,7 @@ class SweepEngine:
         requests = (
             workload.requests_two_source() if two_source else workload.requests()
         )
-        spans: List[Tuple[int, int]] = []
-        span_cycles: List[int] = []
-        for req_index, req in enumerate(requests):
-            for source in req.sources:
-                if source == req.sink:  # cannot happen by construction
-                    continue
-                spans.append(
-                    (source, req.sink) if source < req.sink
-                    else (req.sink, source)
-                )
-                span_cycles.append(req_index + 1)
+        spans, span_cycles = attempt_spans(requests)
         n_channels = 2 * n_objects if two_source else n_objects
         kern = VectorCSDKernel(n_channels, n_objects - 1)
         with telemetry.profile_stage("kernel.grant_many"):

@@ -1,4 +1,4 @@
-"""Unit tests for the bounded LRU both engine caches sit on."""
+"""Unit tests for the bounded LRU the engine's trial cache sits on."""
 
 from repro.engine import LRUCache, MISSING
 
@@ -7,19 +7,14 @@ class TestBasics:
     def test_get_put_roundtrip(self):
         cache = LRUCache(4)
         cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert "a" in cache
+        assert cache.get_or_miss("a") == 1
         assert len(cache) == 1
-
-    def test_missing_returns_none(self):
-        cache = LRUCache(4)
-        assert cache.get("nope") is None
 
     def test_put_refreshes_value(self):
         cache = LRUCache(4)
         cache.put("a", 1)
         cache.put("a", 2)
-        assert cache.get("a") == 2
+        assert cache.get_or_miss("a") == 2
         assert len(cache) == 1
 
 
@@ -61,26 +56,18 @@ class TestEviction:
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("c", 3)  # evicts "a"
-        assert cache.get("a") is None
-        assert cache.get("b") == 2
-        assert cache.get("c") == 3
+        assert cache.get_or_miss("a") is MISSING
+        assert cache.get_or_miss("b") == 2
+        assert cache.get_or_miss("c") == 3
 
     def test_get_refreshes_recency(self):
         cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.get("a")     # "b" is now the oldest
-        cache.put("c", 3)  # evicts "b"
-        assert cache.get("a") == 1
-        assert cache.get("b") is None
-
-    def test_contains_does_not_refresh(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert "a" in cache  # must NOT promote "a"
-        cache.put("c", 3)    # still evicts "a"
-        assert cache.get("a") is None
+        cache.get_or_miss("a")  # "b" is now the oldest
+        cache.put("c", 3)       # evicts "b"
+        assert cache.get_or_miss("a") == 1
+        assert cache.get_or_miss("b") is MISSING
 
     def test_capacity_never_exceeded(self):
         cache = LRUCache(3)
@@ -94,8 +81,8 @@ class TestStats:
         cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.get("a")
-        cache.get("zz")
+        cache.get_or_miss("a")
+        cache.get_or_miss("zz")
         cache.put("c", 3)
         stats = cache.stats()
         assert stats == {
@@ -105,20 +92,3 @@ class TestStats:
             "misses": 1,
             "evictions": 1,
         }
-
-    def test_contains_does_not_count(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        assert "a" in cache and "b" not in cache
-        stats = cache.stats()
-        assert stats["hits"] == 0 and stats["misses"] == 0
-
-    def test_clear_keeps_tallies(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get("a") is None
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1

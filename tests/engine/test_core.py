@@ -141,7 +141,7 @@ class TestFastPathGates:
         engine = SweepEngine()
         engine.run_csd_trial(16, 0.5, 7)  # resolve the real entry
         key = (16, 0.5, 7, False)
-        entry = engine._trials.get(key)
+        entry = engine._trials.get_or_miss(key)
         engine._trials.put(
             key,
             TrialEntry(entry.result, entry.attempts, ((0, 4),), entry.grant_log),

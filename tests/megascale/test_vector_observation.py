@@ -4,12 +4,13 @@ cached observation replay rests on).
 
 Two layers:
 
-* the unit property drives one random grant program through a
-  :class:`VectorCSDKernel` with a live sampler ticking per request,
-  then replays the grant log through a :class:`VectorSampler` into
-  fresh instruments — every heatmap cell, series sample, ``dropped``
-  tally, and ``samples_taken`` count must match byte for byte, even
-  with tiny instrument capacities forcing evictions;
+* the unit property drives one random request program through a live
+  :class:`~repro.csd.dynamic_csd.DynamicCSDNetwork` with a live sampler
+  on the network's own probes ticking per request, then replays the
+  grant log through a :class:`VectorSampler` into fresh instruments —
+  every heatmap cell, series sample, ``dropped`` tally, and
+  ``samples_taken`` count must match byte for byte, even with tiny
+  instrument capacities forcing evictions;
 * the end-to-end property runs the same observed trial on the live
   simulator and on the sweep engine's cached path and demands
   byte-identical observation documents, for N up to 256.
@@ -20,20 +21,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.csd.dynamic_csd import DynamicCSDNetwork
 from repro.csd.simulator import CSDSimulator
 from repro.engine import SweepEngine
-from repro.megascale.kernel import VectorCSDKernel, VectorSampler
+from repro.errors import ChannelAllocationError
+from repro.megascale.kernel import VectorSampler
 from repro.telemetry.exposition import observation_document, observe_json
 from repro.telemetry.observe import Heatmap, Sampler, TimeSeries
 
 _geometries = st.tuples(st.integers(1, 6), st.integers(4, 10))
 
-#: One request: a span [lo, hi) with hi allowed one past the array so
-#: the off-the-array block path (granted=None, no log row) is exercised.
+#: One request: a span [lo, hi) inside the array (positions 0..n_segments);
+#: with few channels many of them block (no log row).
 def _requests(n_segments):
     return st.lists(
         st.tuples(
-            st.integers(0, n_segments - 1), st.integers(1, n_segments + 1)
+            st.integers(0, n_segments - 1), st.integers(1, n_segments)
         ).filter(lambda t: t[0] < t[1]),
         max_size=30,
     )
@@ -66,26 +69,28 @@ class TestSamplerLockstepProperty:
     ):
         (n_channels, n_segments), requests = geometry
 
-        # live side: a kernel sampled per request by the live Sampler
-        kern = VectorCSDKernel(n_channels, n_segments)
+        # live side: the reference network sampled per request by the
+        # live Sampler on the network's own probes
+        net = DynamicCSDNetwork(n_segments + 1, n_channels=n_channels)
         seg, ch, series = _instruments(series_capacity, heatmap_cells)
         sampler = Sampler(stride)
-        sampler.attach_series(series, kern.used_channels)
+        sampler.attach_series(series, net.used_channels)
         sampler.attach_heatmap(
             seg,
-            lambda: {f"s{i}": v for i, v in enumerate(kern.segment_demand())},
+            lambda: {f"s{i}": v for i, v in enumerate(net.segment_demand())},
         )
         sampler.attach_heatmap(
             ch,
             lambda: {
-                f"ch{i}": v for i, v in enumerate(kern.channel_occupancy())
+                f"ch{i}": v for i, v in enumerate(net.channel_occupancy())
             },
         )
         log = []
         for idx, (lo, hi) in enumerate(requests):
-            granted = kern.grant(lo, hi)
-            if granted is not None:
-                log.append((idx + 1, lo, hi, granted))
+            try:
+                log.append((idx + 1, lo, hi, net.connect(lo, hi).channel))
+            except ChannelAllocationError:
+                pass
             sampler.tick()
 
         # vector side: the grant log replayed into fresh instruments
